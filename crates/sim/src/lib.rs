@@ -96,7 +96,7 @@ pub use service::mega::{
     MegaServiceConfig, MegaServiceHarness, MegaServiceReport, MegaServiceWorld,
 };
 pub use service::{
-    Admission, Arrivals, ServiceConfig, ServiceHarness, ServiceReport, ServiceWorld, StepHistogram,
-    Totals, WindowRow,
+    snapshot_holders, Admission, Arrivals, ServiceConfig, ServiceHarness, ServiceReport,
+    ServiceWorld, StepHistogram, Totals, WindowRow,
 };
 pub use soa::{MachineBank, MajoritySoa};

@@ -7,23 +7,48 @@
 //! fleet does: `shards` independent admission controllers, each with
 //! its own shared-memory world ([`ServiceWorld`] per shard), its own
 //! [`SlabBank`] register file, its own bounded queue, backoff heap and
-//! fault injector, all driven in lock-step on **one global clock**. An
-//! arriving client belongs to exactly one shard (each shard draws its
-//! own seeded arrival stream — see below), contends only against that
-//! shard's slots, and every counter lands twice: in the shard's own
-//! [`Totals`] and in the shared telemetry sink — so per-shard
-//! accounting provably sums to the global roll-up, and windows and
-//! quantiles are fleet-wide, not per-shard fragments.
+//! fault injector, each running on **its own clock**. An arriving
+//! client belongs to exactly one shard (each shard draws its own seeded
+//! arrival stream — see below), contends only against that shard's
+//! slots, and every counter lands twice: in the shard's own [`Totals`]
+//! and in the shared telemetry sink — so per-shard accounting provably
+//! sums to the global roll-up, and windows and quantiles are
+//! fleet-wide, not per-shard fragments.
 //!
 //! # Clock and scheduling
 //!
-//! One global tick = one parallel grant round: every shard with an
-//! active session grants (or crashes) exactly one shared-memory
-//! operation. Shards never touch each other's registers, so the round
-//! is embarrassingly parallel in structure even though the harness is
-//! single-threaded; `totals.ops / totals.steps` approaches the shard
-//! count under load. When **no** shard has an active session the clock
-//! fast-forwards to the earliest next event across the fleet.
+//! Execution is **shard-major**: [`MegaServiceHarness::run_until`]
+//! drives shard 0 on its own clock — the same grant cycle as the
+//! unsharded harness, one operation per tick, fast-forwarding its own
+//! idle gaps — until it has completed its share of the target, then
+//! shard 1, and so on. Shards never touch each other's registers, so a
+//! shard's trajectory is the one it would follow in any interleaving
+//! with the others — including every shard ticking together on one
+//! fleet clock — and while it runs, its whole working set stays hot in
+//! cache. The fleet pays only at the shared boundaries: the telemetry
+//! window merge and the final roll-up.
+//!
+//! * **Share stop rule.** Shard `s` runs until it has completed
+//!   `share(n, s)` of a target of `n` sessions — `n / shards`, plus one
+//!   for the lowest `n % shards` shards — so the fleet lands on exactly
+//!   `n`, and a run cut in chunks ends in the same state as one cut
+//!   once. A shard that drains or reaches the horizon short of its share
+//!   hands the deficit to the shards after it, in shard order. A far
+//!   target is reached in rounds of one session per shard, which end
+//!   where one pass would but keep the shard clocks close together.
+//! * **Window merge.** A shard records into the telemetry window its own
+//!   clock is in. At its first tick at or past a window's end it adds
+//!   its `(inflight, queued, waiting)` gauges to that window; a row is
+//!   emitted once every shard has passed the window's end or retired
+//!   (drained for good, gauges zero) before it. A drained run therefore
+//!   emits exactly the rows one fleet clock ticking every shard together
+//!   would (`tests/service_mega.rs` holds frozen goldens).
+//! * **Fleet clock.** The report's clock (`totals.steps`, stamped on
+//!   every shard's totals) is the latest shard clock. [`finish`] flushes
+//!   the windows still open, each unfinished shard reporting its final
+//!   gauges for the boundaries it has not reached.
+//!
+//! [`finish`]: MegaServiceHarness::finish
 //!
 //! # Arrival sharding
 //!
@@ -33,7 +58,7 @@
 //! `shards × mean_gap` from its own salted seed, so the fleet-wide rate
 //! matches the base configuration exactly while gap flooring (gaps are
 //! ≥ 1 step) distorts *less* than the unsharded stream — and the fleet
-//! can absorb up to `shards` arrivals per tick where one stream is
+//! can absorb up to `shards` arrivals per step where one stream is
 //! capped at one. With `shards = 1` the thinning factor is ×1.0 and the
 //! seed salt is 0, so the mega harness reproduces the unsharded run
 //! **bit-identically** — totals, every window row, every ticket
@@ -79,7 +104,10 @@
 
 use exsel_shm::{RegisterBank, SlabBank};
 
-use super::{Arrivals, ServiceConfig, ServiceReport, ServiceWorld, ShardState, Telemetry, Totals};
+use super::{
+    snapshot_holders, Arrivals, ServiceConfig, ServiceReport, ServiceWorld, ShardState, Telemetry,
+    Totals,
+};
 
 /// Salt multiplier deriving per-shard RNG seeds (the 64-bit golden
 /// ratio, as in the engine's pid-mixing); shard 0's salt is 0 so the
@@ -110,10 +138,11 @@ impl MegaServiceConfig {
         self.base.slots * self.shards
     }
 
-    /// Shard `s`'s slice of a fleet-wide client budget: an even split
-    /// with the remainder spread over the lowest shards, so the slices
-    /// sum exactly to `total` and shard 0 of a single-shard fleet gets
-    /// everything.
+    /// Shard `s`'s slice of a fleet-wide budget (clients, or the
+    /// sessions a [`MegaServiceHarness::run_until`] target asks for): an
+    /// even split with the remainder spread over the lowest shards, so
+    /// the slices sum exactly to `total` and shard 0 of a single-shard
+    /// fleet gets everything.
     fn share(total: u64, s: usize, shards: usize) -> u64 {
         total / shards as u64 + u64::from((s as u64) < total % shards as u64)
     }
@@ -178,10 +207,23 @@ impl MegaServiceWorld {
     /// Panics if `cfg.shards == 0` or `cfg.base.slots == 0`.
     #[must_use]
     pub fn new(cfg: &MegaServiceConfig) -> Self {
+        MegaServiceWorld::with_snapshot_reserve(cfg, snapshot_holders(cfg.base.slots))
+    }
+
+    /// Builds every shard's world with `reserve` records (and `reserve`
+    /// views besides the records' own) pre-seeded in each snapshot
+    /// arena; 0 lets the arenas grow on demand, which is how the bound
+    /// behind [`snapshot_holders`] is measured.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.shards == 0` or `cfg.base.slots == 0`.
+    #[must_use]
+    pub fn with_snapshot_reserve(cfg: &MegaServiceConfig, reserve: usize) -> Self {
         assert!(cfg.shards > 0, "need at least one shard");
         MegaServiceWorld {
             worlds: (0..cfg.shards)
-                .map(|s| ServiceWorld::new(&cfg.shard_cfg(s)))
+                .map(|s| ServiceWorld::with_snapshot_reserve(&cfg.shard_cfg(s), reserve))
                 .collect(),
         }
     }
@@ -209,15 +251,15 @@ pub struct MegaServiceReport {
     /// summed across shards, quantiles over the merged samples), the
     /// namespaced ticket audit.
     pub report: ServiceReport,
-    /// Each shard's own counter totals (`steps` is the shared global
-    /// clock).
+    /// Each shard's own counter totals (`steps` is the fleet clock, the
+    /// latest shard clock).
     pub shard_totals: Vec<Totals>,
 }
 
 impl MegaServiceReport {
     /// The roll-up identity every sharded run satisfies: each counter
     /// summed over `shard_totals` equals the global total, and every
-    /// shard stamps the same clock.
+    /// shard stamps the fleet clock.
     #[must_use]
     pub fn rolled_up(&self) -> bool {
         let g = self.report.totals;
@@ -242,20 +284,20 @@ pub struct MegaServiceHarness<'w, B: RegisterBank = SlabBank> {
     cfg: MegaServiceConfig,
     shards: Vec<ShardState<'w, B>>,
     tel: Telemetry,
-    now: u64,
 }
 
 impl<'w> MegaServiceHarness<'w, SlabBank> {
     /// Builds a harness over per-shard [`SlabBank`]s, pre-seeding each
     /// slab's snapshot slots past the shard's live-buffer high-water
-    /// (the same O(slots²) bound the world's snapshot arenas reserve)
-    /// so steady state stays allocation-free from the first session.
+    /// (the [`snapshot_holders`] bound the world's snapshot arenas
+    /// reserve) so steady state stays allocation-free from the first
+    /// session.
     #[must_use]
     pub fn new(world: &'w MegaServiceWorld, cfg: &MegaServiceConfig) -> Self {
         let banks = (0..cfg.shards)
             .map(|_| {
                 let mut bank = SlabBank::new();
-                bank.reserve_slots(32 * cfg.base.slots * cfg.base.slots + 64);
+                bank.reserve_slots(snapshot_holders(cfg.base.slots));
                 bank
             })
             .collect();
@@ -292,8 +334,7 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
         MegaServiceHarness {
             cfg: *cfg,
             shards,
-            tel: Telemetry::new(&cfg.base),
-            now: 0,
+            tel: Telemetry::new(&cfg.base, cfg.shards),
         }
     }
 
@@ -345,31 +386,55 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
     /// target reached, every shard drained, or horizon) and returns the
     /// report.
     pub fn run(mut self) -> MegaServiceReport {
-        loop {
-            if self.cfg.base.target_sessions > 0
-                && self.tel.totals.completed >= self.cfg.base.target_sessions
-            {
-                break;
-            }
-            if !self.advance() {
-                break;
-            }
-        }
+        let target = match self.cfg.base.target_sessions {
+            0 => u64::MAX,
+            t => t,
+        };
+        self.run_until(target);
         self.finish()
     }
 
     /// Drives the fleet until `sessions` sessions have completed
-    /// fleet-wide (an absolute count). Returns `false` when the run
-    /// ended first. Benchmarks use this to separate warm-up from the
-    /// measured steady state before calling
+    /// fleet-wide (an absolute count): shard-major, each shard to its
+    /// share under the stop rule of the module docs. Returns `false`
+    /// when the fleet ended first. Benchmarks use this to separate
+    /// warm-up from the measured steady state before calling
     /// [`MegaServiceHarness::finish`].
+    ///
+    /// The fleet gets there in rounds, each asking one more session of
+    /// every shard. Shares grow with the target and a deficit only grows
+    /// as shards drain, so no round drives a shard past where one pass
+    /// at `sessions` would leave it, and the rounds end in that same
+    /// state; but they keep the shard clocks within one round's spread
+    /// of each other, so the telemetry windows open at once stay few
+    /// and the run stays allocation-free however far one call reaches.
     pub fn run_until(&mut self, sessions: u64) -> bool {
-        while self.tel.totals.completed < sessions {
-            if !self.advance() {
-                return false;
+        let k = self.shards.len() as u64;
+        let mut target = self.completed();
+        while target < sessions {
+            target = sessions.min(target.saturating_add(k));
+            if !self.round(target) {
+                break;
             }
         }
-        true
+        self.completed() >= sessions
+    }
+
+    /// One shard-major pass: each shard in turn runs until it has
+    /// completed its share of `sessions` plus whatever the shards
+    /// before it fell short by. Returns `false` once every shard has
+    /// drained or reached the horizon.
+    fn round(&mut self, sessions: u64) -> bool {
+        let k = self.shards.len();
+        let (mut owed, mut done) = (0, 0);
+        let mut live = false;
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            owed += MegaServiceConfig::share(sessions, s, k);
+            shard.run_until(owed.saturating_sub(done), &mut self.tel);
+            done += shard.totals.completed;
+            live |= !shard.ended();
+        }
+        live
     }
 
     /// Sessions completed fleet-wide so far.
@@ -384,71 +449,25 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
         self.tel.totals.ops
     }
 
-    /// Fleet-wide `(inflight, queued, waiting)` gauges.
-    fn gauges(&self) -> (u64, u64, u64) {
-        self.shards.iter().fold((0, 0, 0), |acc, s| {
-            let (i, q, w) = s.gauges();
-            (acc.0 + i, acc.1 + q, acc.2 + w)
-        })
-    }
-
-    /// One global tick: roll telemetry windows, fire every shard's due
-    /// timers and arrivals, then run one parallel grant round (each
-    /// shard with an active session grants or crashes one operation).
-    /// Fast-forwards idle gaps; returns `false` when the run cannot
-    /// continue.
-    fn advance(&mut self) -> bool {
-        if self.now >= self.cfg.base.horizon {
-            return false;
-        }
-        self.tel.roll(self.now, self.gauges());
-        for shard in &mut self.shards {
-            shard.fire_due_timers(self.now, &mut self.tel);
-            shard.generate_arrivals(self.now, &mut self.tel);
-        }
-        let mut granted = false;
-        for shard in &mut self.shards {
-            granted |= shard.step(self.now, &mut self.tel);
-        }
-        if !granted {
-            if self.shards.iter().all(ShardState::drained) {
-                return false; // every shard drained
-            }
-            self.fast_forward();
-            return true;
-        }
-        self.now += 1;
-        true
-    }
-
-    /// Advances the clock over a fleet-wide idle gap to the earliest
-    /// next event (any shard's arrival or timer, a window boundary, or
-    /// the horizon).
-    fn fast_forward(&mut self) {
-        let next = self
-            .shards
-            .iter()
-            .map(ShardState::next_event)
-            .fold(self.cfg.base.horizon.min(self.tel.window_end), u64::min);
-        self.now = next.max(self.now + 1);
-    }
-
-    /// Emits the final partial window and assembles the report.
+    /// Flushes the telemetry windows still open at the fleet clock (the
+    /// latest shard clock) and assembles the report.
     pub fn finish(self) -> MegaServiceReport {
-        let gauges = self.gauges();
-        let in_system = self.shards.iter().map(ShardState::in_system).sum();
-        let now = self.now;
-        let shard_totals = self
-            .shards
+        let MegaServiceHarness { shards, tel, .. } = self;
+        let now = shards.iter().map(|s| s.now).max().unwrap_or(0);
+        let in_system = shards.iter().map(ShardState::in_system).sum();
+        let shard_totals = shards
             .iter()
-            .map(|s| {
-                let mut t = s.totals;
-                t.steps = now;
-                t
+            .map(|s| Totals {
+                steps: now,
+                ..s.totals
             })
             .collect();
         MegaServiceReport {
-            report: self.tel.finish(now, gauges, in_system),
+            report: tel.finish(
+                now,
+                shards.iter().filter_map(ShardState::final_gauges),
+                in_system,
+            ),
             shard_totals,
         }
     }

@@ -69,7 +69,9 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use exsel_core::RenameConfig;
-use exsel_shm::{ArcBank, Pid, Poll, RegAlloc, RegisterBank, ShmOp, StepMachine, Word};
+use exsel_shm::{
+    ArcBank, Pid, Poll, RegAlloc, RegisterBank, ShmOp, SnapArenaStats, StepMachine, Word,
+};
 use exsel_storecollect::StoreCollect;
 use exsel_unbounded::{AltruisticDeposit, UnboundedNaming};
 use rand::{rngs::SmallRng, Rng, RngCore, SeedableRng};
@@ -279,28 +281,52 @@ pub struct ServiceWorld {
     registers: usize,
 }
 
+/// Snapshot buffers a `slots`-client snapshot object can hold live at
+/// once: one record per component register (`slots`), up to `slots`
+/// cached per scanner (`slots²`) and one per in-flight update
+/// (`slots`), plus `2·slots` for the views scanners hold outside any
+/// record (the one a scan returned, the one its cache is tagged with) —
+/// 96 at the default 8 slots.
+///
+/// [`ServiceWorld::new`] reserves this many records in each snapshot
+/// arena, plus as many views besides the records' own, and
+/// [`mega::MegaServiceHarness::new`] as many slab slots per shard, so a
+/// `slots`-bounded run never grows either mid-run.
+#[must_use]
+pub fn snapshot_holders(slots: usize) -> usize {
+    slots * (slots + 4)
+}
+
 impl ServiceWorld {
-    /// Builds the world for `cfg`.
+    /// Builds the world for `cfg`, with each snapshot arena reserved
+    /// past any live-buffer high-water a `slots`-bounded run can reach
+    /// ([`snapshot_holders`]): even the first contention excursion deep
+    /// into a run stays allocation-free, where warm-up alone only covers
+    /// the high-water it happened to visit.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.slots == 0`.
     #[must_use]
     pub fn new(cfg: &ServiceConfig) -> Self {
+        ServiceWorld::with_snapshot_reserve(cfg, snapshot_holders(cfg.slots))
+    }
+
+    /// Builds the world for `cfg` with `reserve` records (and `reserve`
+    /// views besides the records' own) pre-seeded in each snapshot
+    /// arena; 0 lets the arenas grow on demand, which is how the bound
+    /// behind [`snapshot_holders`] is measured.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.slots == 0`.
+    #[must_use]
+    pub(crate) fn with_snapshot_reserve(cfg: &ServiceConfig, reserve: usize) -> Self {
         assert!(cfg.slots > 0, "need at least one client slot");
         let mut alloc = RegAlloc::new();
         let naming = UnboundedNaming::new(&mut alloc, cfg.slots);
         let sc = StoreCollect::adaptive(&mut alloc, cfg.slots, &RenameConfig::default());
         let repo = AltruisticDeposit::new(&mut alloc, cfg.slots, cfg.arena().max(2 * cfg.slots));
-        // Pre-seed the snapshot recycling arenas past any live-buffer
-        // high-water a `slots`-bounded run can reach: each component
-        // register pins one record, every scanner's collect cache pins
-        // up to `slots` more, and rare interleavings stack generations —
-        // so even the first contention excursion deep into a run stays
-        // allocation-free, where warm-up alone only covers the
-        // high-water it happened to visit (O(slots²) small buffers;
-        // ~1 MiB at the default 8 slots).
-        let reserve = 32 * cfg.slots * cfg.slots + 64;
         naming.snapshot().arena().reserve(reserve, reserve);
         repo.naming().snapshot().arena().reserve(reserve, reserve);
         ServiceWorld {
@@ -315,6 +341,16 @@ impl ServiceWorld {
     #[must_use]
     pub fn num_registers(&self) -> usize {
         self.registers
+    }
+
+    /// Telemetry of the world's two snapshot arenas: the ticket naming
+    /// object's and the repository's.
+    #[must_use]
+    pub fn snapshot_stats(&self) -> [SnapArenaStats; 2] {
+        [
+            self.naming.snapshot().arena().stats(),
+            self.repo.naming().snapshot().arena().stats(),
+        ]
     }
 }
 
@@ -431,12 +467,6 @@ impl StepHistogram {
             }
         }
         bucket_low(255)
-    }
-
-    /// Clears all buckets in place.
-    pub fn clear(&mut self) {
-        self.counts = [0; 256];
-        self.total = 0;
     }
 }
 
@@ -583,28 +613,77 @@ struct Slot<'w> {
 }
 
 /// The telemetry sink of a service run: global counter totals, the
-/// current window's histograms and counter deltas, the emitted window
-/// rows, the whole-run histograms and the ticket audit. The unsharded
-/// harness owns exactly one; a sharded run ([`mega`]) aggregates every
-/// shard into one shared sink, which is what makes its windows and
-/// totals a *global roll-up* rather than per-shard fragments.
+/// open windows' counter deltas, gauges and histograms, the emitted
+/// window rows, the whole-run histograms and the ticket audit. The
+/// unsharded harness owns exactly one; a sharded run ([`mega`])
+/// aggregates every shard into one shared sink, which is what makes its
+/// windows and totals a *global roll-up* rather than per-shard
+/// fragments.
+///
+/// Each shard runs on its own clock and records into the window that
+/// clock is in, so several windows can be open at once. A window closes
+/// when every shard has either *passed* it — reached a tick at or past
+/// its end, adding its `(inflight, queued, waiting)` gauges as of that
+/// tick — or *retired* (drained for good, gauges zero) before its end,
+/// and some shard has passed it (so the run provably reached its end).
+/// [`Telemetry::finish`] flushes whatever is still open.
 struct Telemetry {
     /// Window length in steps ([`ServiceConfig::window`]).
     window: u64,
-    window_hists: Vec<StepHistogram>,
+    /// Shards feeding the sink.
+    shards: usize,
+    /// Shards retired so far; every window opened from now on starts
+    /// with them counted as passed.
+    retired: usize,
+    /// The open windows, oldest first; `open[0]` is window `first_open`.
+    open: VecDeque<OpenWindow>,
+    first_open: u64,
     cumulative: Vec<StepHistogram>,
-    window_counts: WindowRow,
     windows: Vec<WindowRow>,
-    window_end: u64,
     totals: Totals,
     names: Vec<u64>,
     record_names: bool,
 }
 
+/// One window still waiting for shards to pass its end.
+struct OpenWindow {
+    /// Counter deltas (gauge and quantile fields stay 0 until emitted).
+    counts: WindowRow,
+    /// Summed `(inflight, queued, waiting)` gauges of the shards that
+    /// passed the window's end.
+    gauges: (u64, u64, u64),
+    hists: [StepHistogram; FAMILIES],
+    /// Shards that passed the window's end or retired before it.
+    passed: usize,
+}
+
+impl OpenWindow {
+    fn new(passed: usize) -> Self {
+        OpenWindow {
+            counts: WindowRow::default(),
+            gauges: (0, 0, 0),
+            hists: std::array::from_fn(|_| StepHistogram::default()),
+            passed,
+        }
+    }
+
+    fn add_gauges(&mut self, (inflight, queued, waiting): (u64, u64, u64)) {
+        self.gauges.0 += inflight;
+        self.gauges.1 += queued;
+        self.gauges.2 += waiting;
+    }
+
+    /// Whether the window holds any counter or latency sample.
+    fn pending(&self) -> bool {
+        self.counts != WindowRow::default() || self.hists.iter().any(|h| h.total() > 0)
+    }
+}
+
 impl Telemetry {
-    /// Builds the sink for `cfg`, pre-sizing the window and audit
-    /// buffers so a bounded run records into them allocation-free.
-    fn new(cfg: &ServiceConfig) -> Self {
+    /// Builds the sink for `cfg` fed by `shards` shards, pre-sizing the
+    /// window and audit buffers so a bounded run records into them
+    /// allocation-free.
+    fn new(cfg: &ServiceConfig, shards: usize) -> Self {
         // Cap the pre-reservation: an open-ended horizon (the default is
         // u64::MAX / 4) would otherwise ask for gigabytes of window rows.
         // 2^18 windows is orders of magnitude beyond any bounded run; a
@@ -619,45 +698,89 @@ impl Telemetry {
         } else {
             0
         };
+        // One shard keeps at most its current window and the next one
+        // open; a fleet keeps open the span between its slowest and its
+        // fastest shard clock, which its rounds of one session per shard
+        // keep a few windows wide.
+        let mut open = VecDeque::with_capacity(if shards == 1 { 2 } else { 16 });
+        open.push_back(OpenWindow::new(0));
         Telemetry {
             window: cfg.window,
-            window_hists: vec![StepHistogram::default(); FAMILIES],
+            shards,
+            retired: 0,
+            open,
+            first_open: 0,
             cumulative: vec![StepHistogram::default(); FAMILIES],
-            window_counts: WindowRow::default(),
             windows: Vec::with_capacity(est_windows),
-            window_end: cfg.window,
             totals: Totals::default(),
             names: Vec::with_capacity(expected_names),
             record_names: cfg.record_names,
         }
     }
 
-    /// Records a completed phase's latency.
-    fn record(&mut self, family: OpFamily, sample: u64) {
-        self.window_hists[family as usize].record(sample);
+    /// The open window `w`.
+    fn slot(&mut self, w: u64) -> &mut OpenWindow {
+        debug_assert!(w >= self.first_open, "window {w} already emitted");
+        &mut self.open[(w - self.first_open) as usize]
+    }
+
+    /// Window `w`'s counter deltas.
+    fn counts(&mut self, w: u64) -> &mut WindowRow {
+        &mut self.slot(w).counts
+    }
+
+    /// Records a completed phase's latency in window `w`.
+    fn record(&mut self, w: u64, family: OpFamily, sample: u64) {
+        self.slot(w).hists[family as usize].record(sample);
         self.cumulative[family as usize].record(sample);
     }
 
-    /// Emits window rows for every boundary at or before `now`. The
-    /// gauges are the run's current `(inflight, queued, waiting)` —
-    /// summed across shards by a sharded caller — and are constant
-    /// across the (idle) span a multi-boundary roll covers.
-    fn roll(&mut self, now: u64, gauges: (u64, u64, u64)) {
-        while now >= self.window_end {
-            self.emit(gauges);
+    /// Opens windows up to and including `w`.
+    fn open_through(&mut self, w: u64) {
+        while self.first_open + (self.open.len() as u64) <= w {
+            self.open.push_back(OpenWindow::new(self.retired));
         }
     }
 
-    fn emit(&mut self, (inflight, queued, waiting): (u64, u64, u64)) {
-        let mut row = self.window_counts;
-        row.window = self.windows.len() as u64;
-        row.start = self.window_end - self.window;
-        row.end = self.window_end;
-        row.inflight = inflight;
-        row.queued = queued;
-        row.waiting = waiting;
+    /// A shard's clock reached the end of window `w`: adds the shard's
+    /// gauges, opens window `w + 1`, and emits every window now closed.
+    fn pass(&mut self, w: u64, gauges: (u64, u64, u64)) {
+        let slot = self.slot(w);
+        slot.add_gauges(gauges);
+        slot.passed += 1;
+        self.open_through(w + 1);
+        self.emit_closed();
+    }
+
+    /// A shard in window `w` drained for good: it counts as passed, with
+    /// zero gauges, for `w` and every later window.
+    fn retire(&mut self, w: u64) {
+        let from = (w - self.first_open) as usize;
+        for slot in self.open.range_mut(from..) {
+            slot.passed += 1;
+        }
+        self.retired += 1;
+        self.emit_closed();
+    }
+
+    /// Emits the oldest windows while every shard has passed or retired
+    /// before them and a later window is open (some shard reached their
+    /// end).
+    fn emit_closed(&mut self) {
+        while self.open.len() >= 2 && self.open[0].passed == self.shards {
+            self.emit_front();
+        }
+    }
+
+    fn emit_front(&mut self) {
+        let slot = self.open.pop_front().expect("an open window");
+        let mut row = slot.counts;
+        row.window = self.first_open;
+        row.start = self.first_open * self.window;
+        row.end = row.start + self.window;
+        (row.inflight, row.queued, row.waiting) = slot.gauges;
         let q = |h: &StepHistogram, n: u64, d: u64| h.quantile(n, d);
-        let h = &self.window_hists;
+        let h = &slot.hists;
         row.session_p50 = q(&h[OpFamily::Session as usize], 1, 2);
         row.session_p99 = q(&h[OpFamily::Session as usize], 99, 100);
         row.session_p999 = q(&h[OpFamily::Session as usize], 999, 1000);
@@ -675,26 +798,34 @@ impl Telemetry {
         row.deposit_p99 = q(&h[OpFamily::Deposit as usize], 99, 100);
         row.deposit_p999 = q(&h[OpFamily::Deposit as usize], 999, 1000);
         self.windows.push(row);
-        self.window_counts = WindowRow::default();
-        for hist in &mut self.window_hists {
-            hist.clear();
-        }
-        self.window_end += self.window;
+        self.first_open += 1;
     }
 
-    /// Whether the current partial window holds anything.
-    fn pending(&self) -> bool {
-        self.window_counts != WindowRow::default()
-            || self.window_hists.iter().any(|h| h.total() > 0)
-    }
-
-    /// The final flush: emits boundaries crossed by the last
-    /// fast-forward plus the partial window if it holds anything, stamps
+    /// The final flush at fleet clock `now`. `live` lists each
+    /// unretired shard's current window and gauges; a shard still
+    /// short of `now` reports its final gauges for every boundary up to
+    /// `now`, as if idle from here on. Emits every window ending at or
+    /// before `now` plus the partial window if it holds anything, stamps
     /// the clock, and assembles the report.
-    fn finish(mut self, now: u64, gauges: (u64, u64, u64), in_system: u64) -> ServiceReport {
-        self.roll(now, gauges);
-        if self.pending() {
-            self.emit(gauges);
+    fn finish(
+        mut self,
+        now: u64,
+        live: impl Iterator<Item = (u64, (u64, u64, u64))>,
+        in_system: u64,
+    ) -> ServiceReport {
+        let last = now / self.window;
+        self.open_through(last);
+        for (w, gauges) in live {
+            let from = (w - self.first_open) as usize;
+            for slot in self.open.range_mut(from..) {
+                slot.add_gauges(gauges);
+            }
+        }
+        while self.first_open < last {
+            self.emit_front();
+        }
+        if self.open[0].pending() {
+            self.emit_front();
         }
         self.totals.steps = now;
         ServiceReport {
@@ -709,14 +840,27 @@ impl Telemetry {
 
 /// The per-shard control plane of a service run: the slot slab, the
 /// free/active lists, the admission queue, the backoff timer heap, the
-/// four seeded RNG streams and the shard's own counter totals. The
-/// unsharded [`ServiceHarness`] is exactly one of these driven by its
-/// own clock; [`mega::MegaServiceHarness`] drives a vector of them in
-/// lock-step against one shared [`Telemetry`] sink and one global
-/// clock. Every counter increments both the shard's [`Totals`] and the
-/// sink's, so per-shard accounting provably sums to the roll-up.
+/// four seeded RNG streams, the shard's own clock and window cursor,
+/// and its own counter totals. [`ShardState::advance`] is the one grant
+/// cycle of the service layer: the unsharded [`ServiceHarness`] is
+/// exactly one shard, and [`mega::MegaServiceHarness`] runs a vector of
+/// them shard-major — each on its own clock, one after the other —
+/// against one shared [`Telemetry`] sink. Shards share no registers, so
+/// a shard's trajectory does not depend on when its neighbours run.
+/// Every counter increments both the shard's [`Totals`] and the sink's,
+/// so per-shard accounting provably sums to the roll-up.
 struct ShardState<'w, B: RegisterBank> {
     cfg: ServiceConfig,
+    /// The shard's service clock.
+    now: u64,
+    /// The telemetry window the clock is in; the shard records into it
+    /// and passes its end at the first tick at or past it.
+    window: u64,
+    /// First step past that window.
+    window_end: u64,
+    /// Set once the shard drained for good (no arrivals, timers, queue
+    /// or active session left); telemetry then counts it as passed.
+    retired: bool,
     bank: B,
     slots: Vec<Slot<'w>>,
     free: Vec<usize>,
@@ -758,7 +902,6 @@ pub struct ServiceHarness<'w, B: RegisterBank = ArcBank> {
     cfg: ServiceConfig,
     shard: ShardState<'w, B>,
     tel: Telemetry,
-    now: u64,
 }
 
 /// A [`Client`] packed into plain integers so the timer heap's ordering
@@ -824,6 +967,10 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         let first_arrival = cfg.arrivals.next_gap(0, &mut arrival_rng);
         ShardState {
             cfg: *cfg,
+            now: 0,
+            window: 0,
+            window_end: cfg.window,
+            retired: false,
             bank,
             free: (0..cfg.slots).rev().collect(),
             active: Vec::with_capacity(cfg.slots),
@@ -889,10 +1036,10 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         self.inflight() as u64 + self.queue.len() as u64 + self.waiting as u64
     }
 
-    /// Fires every backoff/re-entry timer due at or before `now`.
-    fn fire_due_timers(&mut self, now: u64, tel: &mut Telemetry) {
+    /// Fires every backoff/re-entry timer due at or before the clock.
+    fn fire_due_timers(&mut self, tel: &mut Telemetry) {
         while let Some(Reverse((due, _, bits))) = self.timers.peek().copied() {
-            if due > now {
+            if due > self.now {
                 break;
             }
             self.timers.pop();
@@ -906,22 +1053,22 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
             if client.crashed {
                 self.totals.reentries += 1;
                 tel.totals.reentries += 1;
-                tel.window_counts.reentries += 1;
+                tel.counts(self.window).reentries += 1;
             } else {
                 self.totals.retries += 1;
                 tel.totals.retries += 1;
-                tel.window_counts.retries += 1;
+                tel.counts(self.window).retries += 1;
             }
-            self.admit(client, now, tel);
+            self.admit(client, tel);
         }
     }
 
-    /// Generates every arrival due at or before `now`.
-    fn generate_arrivals(&mut self, now: u64, tel: &mut Telemetry) {
-        while self.next_arrival <= now && !self.arrivals_exhausted() {
+    /// Generates every arrival due at or before the clock.
+    fn generate_arrivals(&mut self, tel: &mut Telemetry) {
+        while self.next_arrival <= self.now && !self.arrivals_exhausted() {
             self.totals.arrivals += 1;
             tel.totals.arrivals += 1;
-            tel.window_counts.arrivals += 1;
+            tel.counts(self.window).arrivals += 1;
             let client = Client {
                 id: self.next_client,
                 arrival: self.next_arrival,
@@ -934,34 +1081,34 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                 .arrivals
                 .next_gap(self.next_arrival, &mut self.arrival_rng);
             self.next_arrival += gap;
-            self.admit(client, now, tel);
+            self.admit(client, tel);
         }
     }
 
     /// Admission control: bind, queue, shed into backoff, or reject.
-    fn admit(&mut self, client: Client, now: u64, tel: &mut Telemetry) {
+    fn admit(&mut self, client: Client, tel: &mut Telemetry) {
         if self.inflight() < self.cfg.admission.max_inflight && !self.free.is_empty() {
             let slot = self.free.pop().expect("checked non-empty");
-            self.bind(slot, client, now, tel);
+            self.bind(slot, client, tel);
         } else if self.queue.len() < self.cfg.admission.queue_capacity {
             self.queue.push_back(client);
         } else {
             self.totals.shed += 1;
             tel.totals.shed += 1;
-            tel.window_counts.shed += 1;
-            self.backoff_or_reject(client, now, tel);
+            tel.counts(self.window).shed += 1;
+            self.backoff_or_reject(client, tel);
         }
     }
 
     /// Sheds `client` into jittered exponential backoff, or rejects it
     /// for good once its attempts or the waiting room are exhausted.
-    fn backoff_or_reject(&mut self, mut client: Client, now: u64, tel: &mut Telemetry) {
+    fn backoff_or_reject(&mut self, mut client: Client, tel: &mut Telemetry) {
         if client.attempt >= self.cfg.admission.max_retries
             || self.waiting >= self.cfg.admission.waiting_capacity
         {
             self.totals.rejected += 1;
             tel.totals.rejected += 1;
-            tel.window_counts.rejected += 1;
+            tel.counts(self.window).rejected += 1;
             return;
         }
         let delay = self
@@ -971,7 +1118,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         client.attempt += 1;
         self.timer_seq += 1;
         self.timers.push(Reverse((
-            now + delay,
+            self.now + delay,
             self.timer_seq,
             ClientBits {
                 id: client.id,
@@ -985,15 +1132,15 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
 
     /// Binds `client` to `slot` and starts its session at the acquire
     /// phase.
-    fn bind(&mut self, slot: usize, client: Client, now: u64, tel: &mut Telemetry) {
+    fn bind(&mut self, slot: usize, client: Client, tel: &mut Telemetry) {
         self.totals.admitted += 1;
         tel.totals.admitted += 1;
-        tel.window_counts.admitted += 1;
+        tel.counts(self.window).admitted += 1;
         let s = &mut self.slots[slot];
         s.client = client;
         s.phase = Phase::Acquire;
-        s.session_start = now;
-        s.phase_start = now;
+        s.session_start = self.now;
+        s.phase_start = self.now;
         s.machines.begin_acquire();
         debug_assert_eq!(self.active_pos[slot], NOT_ACTIVE);
         self.active_pos[slot] = self.active.len();
@@ -1015,10 +1162,10 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
     /// mid-operation, the slot frees, and the client is scheduled to
     /// re-enter as a fresh contender (or rejected once its attempts are
     /// spent).
-    fn crash(&mut self, slot: usize, now: u64, tel: &mut Telemetry) {
+    fn crash(&mut self, slot: usize, tel: &mut Telemetry) {
         self.totals.crashes += 1;
         tel.totals.crashes += 1;
-        tel.window_counts.crashes += 1;
+        tel.counts(self.window).crashes += 1;
         let s = &mut self.slots[slot];
         match s.phase {
             Phase::Acquire => s.machines.naming_dirty = true,
@@ -1034,25 +1181,26 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         s.phase = Phase::Free;
         self.deactivate(slot);
         self.free.push(slot);
-        self.backoff_or_reject(client, now, tel);
-        self.drain_queue(now, tel);
+        self.backoff_or_reject(client, tel);
+        self.drain_queue(tel);
     }
 
     /// Moves queued clients onto freed slots.
-    fn drain_queue(&mut self, now: u64, tel: &mut Telemetry) {
+    fn drain_queue(&mut self, tel: &mut Telemetry) {
         while !self.queue.is_empty()
             && self.inflight() < self.cfg.admission.max_inflight
             && !self.free.is_empty()
         {
             let client = self.queue.pop_front().expect("checked non-empty");
             let slot = self.free.pop().expect("checked non-empty");
-            self.bind(slot, client, now, tel);
+            self.bind(slot, client, tel);
         }
     }
 
     /// Grants one shared-memory operation to the session on `slot` and
     /// advances its state machine.
-    fn grant(&mut self, slot: usize, now: u64, tel: &mut Telemetry) {
+    fn grant(&mut self, slot: usize, tel: &mut Telemetry) {
+        let now = self.now;
         self.totals.ops += 1;
         tel.totals.ops += 1;
         let s = &mut self.slots[slot];
@@ -1070,7 +1218,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                     let lat = now + 1 - s.phase_start;
                     s.phase = Phase::Store;
                     s.phase_start = now + 1;
-                    tel.record(OpFamily::Acquire, lat);
+                    tel.record(self.window, OpFamily::Acquire, lat);
                 }
             }
             Phase::Store => {
@@ -1080,7 +1228,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                     m.collect.rearm();
                     s.phase = Phase::Collect;
                     s.phase_start = now + 1;
-                    tel.record(OpFamily::Store, lat);
+                    tel.record(self.window, OpFamily::Store, lat);
                 } else if let Poll::Ready(res) = step_machine(&mut self.bank, &mut m.first_store) {
                     let reg = res.expect("store&collect sized for every slot");
                     m.registered = Some(reg);
@@ -1094,7 +1242,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                     m.begin_deposit(s.client.id);
                     s.phase = Phase::Deposit;
                     s.phase_start = now + 1;
-                    tel.record(OpFamily::Collect, lat);
+                    tel.record(self.window, OpFamily::Collect, lat);
                 }
             }
             Phase::Deposit => {
@@ -1105,18 +1253,18 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
                     let sojourn = now + 1 - s.client.arrival;
                     let ticket = s.ticket;
                     s.phase = Phase::Free;
-                    tel.record(OpFamily::Deposit, lat);
-                    tel.record(OpFamily::Session, session);
-                    tel.record(OpFamily::Sojourn, sojourn);
+                    tel.record(self.window, OpFamily::Deposit, lat);
+                    tel.record(self.window, OpFamily::Session, session);
+                    tel.record(self.window, OpFamily::Sojourn, sojourn);
                     self.totals.completed += 1;
                     tel.totals.completed += 1;
-                    tel.window_counts.completed += 1;
+                    tel.counts(self.window).completed += 1;
                     if tel.record_names {
                         tel.names.push(ticket * self.ticket_step + self.ticket_base);
                     }
                     self.deactivate(slot);
                     self.free.push(slot);
-                    self.drain_queue(now, tel);
+                    self.drain_queue(tel);
                 }
             }
         }
@@ -1175,7 +1323,7 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
     /// shard's scheduler stream, draws the crash hazard, and grants (or
     /// crashes) one shared-memory operation. Returns `false` when the
     /// shard has no active session to drive.
-    fn step(&mut self, now: u64, tel: &mut Telemetry) -> bool {
+    fn step(&mut self, tel: &mut Telemetry) -> bool {
         if self.active.is_empty() {
             return false;
         }
@@ -1183,11 +1331,74 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
         let slot = self.active[pick];
         let crash = self.cfg.crash_hazard > 0.0 && self.hazard_rng.gen_bool(self.cfg.crash_hazard);
         if crash {
-            self.crash(slot, now, tel);
+            self.crash(slot, tel);
         } else {
-            self.grant(slot, now, tel);
+            self.grant(slot, tel);
         }
         true
+    }
+
+    /// One iteration of the open-loop grant cycle: pass every window end
+    /// the clock reached, fire due timers, generate due arrivals, then
+    /// grant one shared-memory operation (or crash the picked session,
+    /// or fast-forward an idle gap). Returns `false` when the shard
+    /// cannot continue — horizon reached, or drained for good, in which
+    /// case it retires from the telemetry windows.
+    fn advance(&mut self, tel: &mut Telemetry) -> bool {
+        if self.now >= self.cfg.horizon {
+            return false;
+        }
+        while self.now >= self.window_end {
+            tel.pass(self.window, self.gauges());
+            self.window += 1;
+            self.window_end += self.cfg.window;
+        }
+        self.fire_due_timers(tel);
+        self.generate_arrivals(tel);
+        if self.step(tel) {
+            self.now += 1;
+            return true;
+        }
+        if self.drained() {
+            if !self.retired {
+                self.retired = true;
+                tel.retire(self.window);
+            }
+            return false;
+        }
+        self.fast_forward();
+        true
+    }
+
+    /// Advances until the shard has completed `sessions` sessions (an
+    /// absolute count). Returns `false` when the shard stopped first.
+    fn run_until(&mut self, sessions: u64, tel: &mut Telemetry) -> bool {
+        while self.totals.completed < sessions {
+            if !self.advance(tel) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Whether the shard can never advance again: it retired, or its
+    /// clock reached the horizon.
+    fn ended(&self) -> bool {
+        self.retired || self.now >= self.cfg.horizon
+    }
+
+    /// Advances the clock over an idle gap to the next event (arrival,
+    /// timer, window end or horizon).
+    fn fast_forward(&mut self) {
+        let next = self.cfg.horizon.min(self.window_end).min(self.next_event());
+        self.now = next.max(self.now + 1);
+    }
+
+    /// The shard's current window and gauges, which the final flush
+    /// adds to every window still open from there on; `None` once the
+    /// shard retired.
+    fn final_gauges(&self) -> Option<(u64, (u64, u64, u64))> {
+        (!self.retired).then(|| (self.window, self.gauges()))
     }
 
     /// Whether this shard can never produce another event: arrivals
@@ -1232,8 +1443,7 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
         ServiceHarness {
             cfg: *cfg,
             shard: ShardState::new(world, cfg, bank, 0, 1),
-            tel: Telemetry::new(cfg),
-            now: 0,
+            tel: Telemetry::new(cfg, 1),
         }
     }
 
@@ -1283,15 +1493,11 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
     /// target reached, arrivals exhausted and system drained, or
     /// horizon) and returns the report.
     pub fn run(mut self) -> ServiceReport {
-        loop {
-            if self.cfg.target_sessions > 0 && self.tel.totals.completed >= self.cfg.target_sessions
-            {
-                break;
-            }
-            if !self.advance() {
-                break;
-            }
-        }
+        let target = match self.cfg.target_sessions {
+            0 => u64::MAX,
+            t => t,
+        };
+        self.run_until(target);
         self.finish()
     }
 
@@ -1302,12 +1508,7 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
     /// a measured steady-state segment before calling
     /// [`ServiceHarness::finish`].
     pub fn run_until(&mut self, sessions: u64) -> bool {
-        while self.tel.totals.completed < sessions {
-            if !self.advance() {
-                return false;
-            }
-        }
-        true
+        self.shard.run_until(sessions, &mut self.tel)
     }
 
     /// Sessions completed so far.
@@ -1322,44 +1523,14 @@ impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
         self.tel.totals.ops
     }
 
-    /// One iteration of the open-loop grant cycle: roll telemetry
-    /// windows, fire due timers, generate due arrivals, then grant one
-    /// shared-memory operation (or crash the picked session, or
-    /// fast-forward an idle gap). Returns `false` when the run cannot
-    /// continue.
-    fn advance(&mut self) -> bool {
-        if self.now >= self.cfg.horizon {
-            return false;
-        }
-        self.tel.roll(self.now, self.shard.gauges());
-        self.shard.fire_due_timers(self.now, &mut self.tel);
-        self.shard.generate_arrivals(self.now, &mut self.tel);
-        if !self.shard.step(self.now, &mut self.tel) {
-            if self.shard.drained() {
-                return false; // drained
-            }
-            self.fast_forward();
-            return true;
-        }
-        self.now += 1;
-        true
-    }
-
-    /// Advances the clock over an idle gap to the next event (arrival,
-    /// timer, window boundary or horizon).
-    fn fast_forward(&mut self) {
-        let next = self
-            .cfg
-            .horizon
-            .min(self.tel.window_end)
-            .min(self.shard.next_event());
-        self.now = next.max(self.now + 1);
-    }
-
     /// Emits the final partial window and assembles the report.
     pub fn finish(self) -> ServiceReport {
-        let gauges = self.shard.gauges();
-        self.tel.finish(self.now, gauges, self.shard.in_system())
+        let shard = &self.shard;
+        self.tel.finish(
+            shard.now,
+            shard.final_gauges().into_iter(),
+            shard.in_system(),
+        )
     }
 }
 

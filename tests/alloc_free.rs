@@ -28,7 +28,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use exclusive_selection::sim::policy::{RandomPolicy, RoundRobin};
 use exclusive_selection::sim::service::mega::{
@@ -46,38 +45,40 @@ use exsel_shm::snapshot::UpdateOp;
 use exsel_shm::SlabBank;
 use exsel_unbounded::{AltruisticDeposit, DepositOp, NamingMachine, UnboundedNaming};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     /// Only the test thread arms this, strictly around the measured
     /// loop — allocations from harness/runtime threads (or from test
     /// scaffolding outside the window) must not trip the assertion.
     static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's counts: tests run on parallel threads, and one
+    /// test's measured window must not pick up another's allocations.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one event on this thread while its window is armed.
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    if MEASURING.with(Cell::get) {
+        counter.with(|c| c.set(c.get() + 1));
+    }
 }
 
 struct CountingAlloc;
 
-// SAFETY: delegates verbatim to the system allocator; the counters are
-// plain relaxed atomics behind a const-initialized thread-local gate
-// (no allocation on the TLS path).
+// SAFETY: delegates verbatim to the system allocator; the counters and
+// their gate are const-initialized thread-locals (no allocation on the
+// TLS path).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        bump(&ALLOCS);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if MEASURING.with(Cell::get) {
-            FREES.fetch_add(1, Ordering::Relaxed);
-        }
+        bump(&FREES);
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        bump(&ALLOCS);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -86,7 +87,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 fn counts() -> (u64, u64) {
-    (ALLOCS.load(Ordering::SeqCst), FREES.load(Ordering::SeqCst))
+    (ALLOCS.with(Cell::get), FREES.with(Cell::get))
 }
 
 /// Allocations and frees on this thread while running `f` with the
