@@ -1,19 +1,18 @@
 //! Execution-backend comparison: the thread-backed lock-step scheduler
 //! (`SimBuilder`) vs the single-threaded step-machine engine
 //! (`StepEngine`) on identical workloads — a full Majority-renaming round
-//! under a seeded random schedule, exhaustive schedule exploration of
-//! `Compete-For-Register` at a fixed depth, and a pigeonhole-adversary
-//! run. The executions themselves are identical (same policy ⇒ same
-//! trace); only the machinery differs.
+//! under a seeded random schedule and a pigeonhole-adversary run (the
+//! engine arm on a reset-in-place machine pool). The executions
+//! themselves are identical (same policy ⇒ same trace); only the
+//! machinery differs.
 //!
 //! `cargo bench -p exsel-bench --bench engine`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exsel_bench::runner::{run_sim, run_sim_engine, run_sim_engine_with, spread_originals};
-use exsel_core::{Majority, MoirAnderson, Outcome, Rename, RenameConfig, SlotBank, StepRename};
-use exsel_lowerbound::{run_against, run_machines_against};
-use exsel_shm::{RegAlloc, StepMachine};
-use exsel_sim::explore::{explore, explore_engine, explore_pool};
+use exsel_core::{Majority, MoirAnderson, Outcome, Rename, RenameConfig, StepRename};
+use exsel_lowerbound::{run_against, run_machines_against_pooled};
+use exsel_shm::{Pid, RegAlloc, StepMachine};
 use exsel_sim::policy::RandomPolicy;
 use exsel_sim::{AlgoSet, MachinePool, StepEngine};
 
@@ -36,39 +35,6 @@ fn bench_majority_round(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_explore(c: &mut Criterion) {
-    let mut group = c.benchmark_group("backend_explore");
-    group.sample_size(10);
-    // Three contenders on one compete slot: exhaustive schedule tree,
-    // thousands of executions per iteration.
-    let mut alloc = RegAlloc::new();
-    let bank = SlotBank::new(&mut alloc, 1);
-    let regs = alloc.total();
-    group.bench_with_input(BenchmarkId::new("threads", 3), &3, |b, _| {
-        b.iter(|| {
-            explore(
-                regs,
-                3,
-                u64::MAX,
-                |ctx| bank.compete(ctx, 0, ctx.pid().0 as u64 + 1),
-                |_| {},
-            )
-        });
-    });
-    group.bench_with_input(BenchmarkId::new("step_engine", 3), &3, |b, _| {
-        b.iter(|| {
-            explore_engine(
-                regs,
-                3,
-                u64::MAX,
-                |pid| Box::new(bank.begin_compete(0, pid.0 as u64 + 1)),
-                |_| {},
-            )
-        });
-    });
-    group.finish();
-}
-
 fn bench_adversary(c: &mut Criterion) {
     let mut group = c.benchmark_group("backend_adversary");
     group.sample_size(10);
@@ -84,15 +50,15 @@ fn bench_adversary(c: &mut Criterion) {
             })
         });
     });
-    group.bench_with_input(BenchmarkId::new("step_engine", n), &n, |b, _| {
-        b.iter(|| {
-            run_machines_against(n, regs, k, m, regs as u64, |pid| {
-                Box::new(
-                    algo.begin_rename(pid, pid.0 as u64 + 1)
-                        .map_output(Outcome::name),
-                )
-            })
-        });
+    let mut engine = StepEngine::reusable(regs);
+    let mut pool: MachinePool<_> = (0..n)
+        .map(|p| {
+            algo.begin_rename(Pid(p), p as u64 + 1)
+                .map_output(Outcome::name as fn(Outcome) -> Option<u64>)
+        })
+        .collect();
+    group.bench_with_input(BenchmarkId::new("pooled", n), &n, |b, _| {
+        b.iter(|| run_machines_against_pooled(&mut engine, &mut pool, regs, k, m, regs as u64));
     });
     group.finish();
 }
@@ -166,25 +132,12 @@ fn bench_machine_pool(c: &mut Criterion) {
         });
     }
 
-    // Pooled exhaustive exploration of Compete-For-Register.
-    let mut alloc = RegAlloc::new();
-    let bank = SlotBank::new(&mut alloc, 1);
-    let regs = alloc.total();
-    group.bench_with_input(BenchmarkId::new("explore_pooled", 3), &3, |b, _| {
-        b.iter(|| {
-            let mut pool: MachinePool<exsel_core::CompeteOp> = (0..3)
-                .map(|p| bank.begin_compete(0, p as u64 + 1))
-                .collect();
-            explore_pool(regs, &mut pool, u64::MAX, |_| {})
-        });
-    });
     group.finish();
 }
 
 criterion_group!(
     benches,
     bench_majority_round,
-    bench_explore,
     bench_adversary,
     bench_engine_reuse,
     bench_machine_pool

@@ -15,9 +15,8 @@
 
 use std::time::Instant;
 
-use exsel_core::{Majority, RenameConfig, SlotBank};
+use exsel_core::{Majority, RenameConfig};
 use exsel_shm::{Pid, RegAlloc, StepMachine};
-use exsel_sim::explore::{explore, explore_engine, explore_pool};
 use exsel_sim::policy::RandomPolicy;
 use exsel_sim::{AlgoSet, MachinePool, SetOutput, StepEngine};
 use exsel_unbounded::AltruisticDeposit;
@@ -38,10 +37,10 @@ pub(crate) fn time(iters: u32, mut f: impl FnMut()) -> f64 {
 }
 
 /// Measures every T11 workload and returns the rows. `quick` is the
-/// bench-gate mode: fewer trials and iterations, the largest-k majority
-/// round and the thread-backed exploration (seconds of wall-clock by
-/// itself) skipped — rows keep the same [`crate::gate::workload_key`]s,
-/// so the gate compares them against the committed full-scale artifact.
+/// bench-gate mode: fewer trials and iterations and the largest-k
+/// majority round skipped — rows keep the same
+/// [`crate::gate::workload_key`]s, so the gate compares them against the
+/// committed full-scale artifact.
 ///
 /// # Panics
 ///
@@ -79,58 +78,6 @@ pub fn measure(quick: bool) -> Vec<Row> {
         });
         rows.push(Row {
             workload: format!("majority_round/k={k}"),
-            baseline: "threads",
-            contender: "engine",
-            baseline_s: threads_s,
-            contender_s: engine_s,
-            extras: Vec::new(),
-        });
-    }
-
-    // Exhaustive exploration of Compete-For-Register, 3 contenders —
-    // the fixed-depth model-checking workload. The thread-backed arm
-    // takes seconds per iteration, so the quick mode leaves this row to
-    // full regenerations.
-    if !quick {
-        let mut alloc = RegAlloc::new();
-        let bank = SlotBank::new(&mut alloc, 1);
-        let regs = alloc.total();
-        let a = explore(
-            regs,
-            3,
-            u64::MAX,
-            |ctx| bank.compete(ctx, 0, ctx.pid().0 as u64 + 1),
-            |_| {},
-        );
-        let b = explore_engine(
-            regs,
-            3,
-            u64::MAX,
-            |pid| Box::new(bank.begin_compete(0, pid.0 as u64 + 1)),
-            |_| {},
-        );
-        assert!(a.complete && b.complete);
-        assert_eq!(a.executions, b.executions, "exploration trees diverged");
-        let threads_s = time(3, || {
-            explore(
-                regs,
-                3,
-                u64::MAX,
-                |ctx| bank.compete(ctx, 0, ctx.pid().0 as u64 + 1),
-                |_| {},
-            );
-        });
-        let engine_s = time(3, || {
-            explore_engine(
-                regs,
-                3,
-                u64::MAX,
-                |pid| Box::new(bank.begin_compete(0, pid.0 as u64 + 1)),
-                |_| {},
-            );
-        });
-        rows.push(Row {
-            workload: format!("explore_compete/3procs/{}execs", a.executions),
             baseline: "threads",
             contender: "engine",
             baseline_s: threads_s,
@@ -297,55 +244,6 @@ pub fn measure(quick: bool) -> Vec<Row> {
                 extras: Vec::new(),
             });
         }
-
-        // Exploration: the explore_compete workload re-driven on a pool
-        // of concrete CompeteOp machines — zero boxes per execution.
-        let mut alloc = RegAlloc::new();
-        let bank = SlotBank::new(&mut alloc, 1);
-        let regs = alloc.total();
-        let pool_of = || -> MachinePool<exsel_core::CompeteOp> {
-            (0..3)
-                .map(|p| bank.begin_compete(0, p as u64 + 1))
-                .collect()
-        };
-        {
-            let boxed = explore_engine(
-                regs,
-                3,
-                u64::MAX,
-                |pid| Box::new(bank.begin_compete(0, pid.0 as u64 + 1)),
-                |_| {},
-            );
-            let mut pool = pool_of();
-            let pooled = explore_pool(regs, &mut pool, u64::MAX, |_| {});
-            assert_eq!(
-                boxed.executions, pooled.executions,
-                "pooled exploration tree diverged"
-            );
-        }
-        let iters = if quick { 1 } else { 3 };
-        let boxed_s = time(iters, || {
-            let mut engine = StepEngine::reusable(regs).pending_rebuild(true);
-            exsel_sim::explore_engine_with(
-                &mut engine,
-                3,
-                u64::MAX,
-                |pid| Box::new(bank.begin_compete(0, pid.0 as u64 + 1)),
-                |_| {},
-            );
-        });
-        let pooled_s = time(iters, || {
-            let mut pool = pool_of();
-            explore_pool(regs, &mut pool, u64::MAX, |_| {});
-        });
-        rows.push(Row {
-            workload: "machine_pool/explore_compete/3procs".into(),
-            baseline: "pr2_boxed",
-            contender: "pooled",
-            baseline_s: boxed_s,
-            contender_s: pooled_s,
-            extras: Vec::new(),
-        });
     }
 
     // The deposit family: the boxed-vs-pooled comparison on the

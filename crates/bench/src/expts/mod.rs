@@ -6,10 +6,9 @@
 //! on real threads where throughput is the point), and prints both an
 //! aligned text table and JSON lines (`--json`).
 //!
-//! The canonical entry point is the `expt` multiplexer binary —
-//! `expt -- list`, `expt -- run <name>` — which resolves these through
-//! [`crate::scenario::registry`]; the historical `expt_*` binaries are
-//! one-line wrappers kept for muscle memory.
+//! The entry point is the `expt` multiplexer binary — `expt -- list`,
+//! `expt -- run <name>` — which resolves these through
+//! [`crate::scenario::registry`].
 
 pub mod ablation;
 pub mod adaptive;

@@ -16,11 +16,11 @@
 //!   and results as the thread-backed runner (the blocking algorithm APIs
 //!   are `drive` adapters over the same machines), at orders-of-magnitude
 //!   higher execution rates. Use it for exhaustive exploration
-//!   ([`explore_engine`], [`explore_pool`]), adversary searches and
-//!   large crash storms. Hot trial loops drive a [`MachinePool`] of
-//!   concrete [`MachineSet`] machines ([`StepEngine::run_pool`]): built
-//!   once, reset in place, enum-dispatched — zero steady-state heap
-//!   allocations.
+//!   ([`explore_pool_sleep`], [`explore_pool_reduced`]), adversary
+//!   searches and large crash storms. Hot trial loops drive a
+//!   [`MachinePool`] of concrete [`MachineSet`] machines
+//!   ([`StepEngine::run_pool`]): built once, reset in place,
+//!   enum-dispatched — zero steady-state heap allocations.
 //!
 //! Both run in **lock-step**: the policy is consulted only when every live
 //! process has an operation pending, so — because the policy then sees the
@@ -63,7 +63,6 @@
 #![warn(missing_docs)]
 
 mod engine;
-pub mod explore;
 pub mod machines;
 pub mod policy;
 mod pool;
@@ -75,9 +74,6 @@ pub mod soa;
 pub mod trace_view;
 
 pub use engine::{Metrics, StepEngine};
-pub use explore::{
-    explore, explore_engine, explore_engine_with, explore_pool, explore_pool_with, ExploreReport,
-};
 #[cfg(feature = "check")]
 pub use exsel_analysis::{
     collect_specs, non_interference, AccessChecker, StaticError, Violation, ViolationKind,
@@ -88,7 +84,7 @@ pub use pool::MachinePool;
 #[cfg(feature = "check")]
 pub use reduce::shrink_violation;
 pub use reduce::{
-    explore_pool_reduced, explore_pool_sleep, independent, replay_pool, ReduceConfig,
+    explore_pool_reduced, explore_pool_sleep, independent, replay_pool, ExploreReport, ReduceConfig,
 };
 pub use runner::{SimBuilder, SimOutcome};
 pub use sched::{CrashCause, SimMemory};

@@ -1,14 +1,23 @@
-//! Reduced exhaustive exploration: sleep-set partial-order reduction,
-//! pid-symmetry canonicalization and visited-state pruning over the
-//! pooled [`StepEngine`], with counterexample minimization.
+//! Exhaustive exploration — stateless model checking for small pooled
+//! programs — with sleep-set partial-order reduction, pid-symmetry
+//! canonicalization, visited-state pruning and counterexample
+//! minimization over the pooled [`StepEngine`].
 //!
-//! The unreduced explorers of [`mod@crate::explore`] enumerate **every**
-//! grant sequence — exponential in the total operation count, which caps
-//! exhaustive verification at 3 processes for the compete family
-//! (73,608 executions). This module cuts the *number* of executions
-//! along three independent axes, each behind a [`ReduceConfig`] flag so
-//! the unreduced walk remains available as a differential oracle (the
-//! `pending_rebuild(true)` / `recycling(false)` pattern):
+//! Because lock-step executions are a pure function of the grant
+//! sequence, the complete schedule space of a small, deterministic,
+//! crash-free program is a tree: each node is a scheduling decision,
+//! its branches the processes pending there. This module walks that
+//! tree depth-first; every leaf is one complete execution handed to the
+//! caller's checker. This is the `loom` role in this stack: exhaustive
+//! verification of the fine-grained primitives (`Compete-For-Register`,
+//! splitters, snapshot) at small sizes, complementing seeded-random
+//! exploration at large ones.
+//!
+//! With every reduction off ([`ReduceConfig::off`]) the walk enumerates
+//! **every** grant sequence — exponential in the total operation count,
+//! which caps unreduced verification at 3 processes for the compete
+//! family (73,608 executions). Three independent reductions, each
+//! behind a [`ReduceConfig`] flag, cut the *number* of executions:
 //!
 //! * **Sleep sets** ([`ReduceConfig::sleep_sets`]) — two pending
 //!   operations are *independent* when they commute: they target
@@ -54,22 +63,68 @@
 //! advances a machine, so the post-abort pool and bank are *exactly*
 //! the node's state, which is what makes the fingerprint probe free of
 //! any state-cloning machinery.
+//!
+//! ```
+//! use exsel_core::SlotBank;
+//! use exsel_shm::RegAlloc;
+//! use exsel_sim::{explore_pool_sleep, MachinePool, ReduceConfig, StepEngine};
+//!
+//! let mut alloc = RegAlloc::new();
+//! let bank = SlotBank::new(&mut alloc, 1);
+//! let mut pool: MachinePool<_> = (1..=2).map(|token| bank.begin_compete(0, token)).collect();
+//! let mut engine = StepEngine::reusable(alloc.total());
+//! // Lemma 1 over every interleaving of two contenders: at most one wins.
+//! let report = explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(10_000), |pool| {
+//!     pool.completed().filter(|(_, won)| **won).count() <= 1
+//! });
+//! assert!(report.complete && report.minimized.is_none());
+//! assert_eq!(report.executions, 116);
+//! ```
 
 use std::collections::HashMap;
 
 use exsel_shm::{Fingerprint, OpKind, Pid, RegisterBank, StateHasher, StepMachine, TokenMap};
 
 use crate::engine::StepEngine;
-use crate::explore::ExploreReport;
 use crate::policy::{Action, PendingOp, Policy, Scripted};
 use crate::pool::MachinePool;
 
-/// Which reductions the reduced explorer applies.
+/// Outcome of an exhaustive exploration.
+#[derive(Clone, Debug)]
+pub struct ExploreReport {
+    /// Complete executions checked (`execs_explored` in bench output).
+    pub executions: u64,
+    /// Whether the whole schedule tree was covered (false if
+    /// `max_executions` truncated the walk).
+    pub complete: bool,
+    /// The deepest decision point seen (total operations of the longest
+    /// execution).
+    pub max_depth: usize,
+    /// Branches the reductions suppressed: sleep-set–blocked grants plus
+    /// visited-state subtree cuts. Always 0 under [`ReduceConfig::off`].
+    pub execs_pruned: u64,
+    /// Distinct canonical state fingerprints recorded by the visited
+    /// set. 0 when visited-state hashing is off.
+    pub states_canonical: u64,
+    /// The minimized failing schedule, when a `check` failed and the
+    /// shrinker ran: a grant sequence (pids in grant order) that still
+    /// fails on replay. `None` when every execution passed or shrinking
+    /// was disabled.
+    pub minimized: Option<Vec<Pid>>,
+}
+
+impl ExploreReport {
+    /// Length of the minimized failing schedule, if one was produced.
+    #[must_use]
+    pub fn minimized_len(&self) -> Option<usize> {
+        self.minimized.as_ref().map(Vec::len)
+    }
+}
+
+/// Which reductions the explorer applies.
 ///
-/// All-off ([`ReduceConfig::off`]) is the oracle configuration: the same
-/// depth-first enumerator with every reduction disabled, which must
-/// reproduce the unreduced [`crate::explore_pool`] execution count and
-/// verdicts exactly (differentially tested).
+/// All-off ([`ReduceConfig::off`]) is the unreduced walk: every grant
+/// sequence, one execution per leaf of the schedule tree.
 #[derive(Clone, Debug)]
 pub struct ReduceConfig {
     /// Sleep-set partial-order reduction (one execution per Mazurkiewicz
@@ -94,7 +149,7 @@ pub struct ReduceConfig {
 }
 
 impl ReduceConfig {
-    /// Every reduction off — the differential-oracle walk.
+    /// Every reduction off — the unreduced walk over every interleaving.
     #[must_use]
     pub fn off(max_executions: u64) -> Self {
         ReduceConfig {
@@ -558,11 +613,12 @@ where
     run_dfs(engine, pool, config, check, key)
 }
 
-/// Reduced exploration without any fingerprinting bound: sleep-set
-/// reduction (and the all-off oracle walk) for machine families whose
-/// state cannot be hashed soundly — the composite store&collect
-/// renamers, the pid-asymmetric deposit layout. Exactly
-/// [`explore_pool_reduced`] restricted to `visited = symmetry = false`.
+/// Exhaustive exploration without any fingerprinting bound: the
+/// unreduced walk ([`ReduceConfig::off`]) or sleep-set reduction, for
+/// any machine family — including those whose state cannot be hashed
+/// soundly, like the composite store&collect renamers and the
+/// pid-asymmetric deposit layout. Exactly [`explore_pool_reduced`]
+/// restricted to `visited = symmetry = false`.
 ///
 /// # Panics
 ///
@@ -589,7 +645,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::explore_pool_with;
     use exsel_shm::{ArcBank, Poll, RegAlloc, RegId, ShmOp, Word};
     use std::collections::BTreeSet;
 
@@ -678,19 +733,100 @@ mod tests {
     }
 
     #[test]
-    fn off_config_matches_unreduced_explorer_exactly() {
+    fn counts_interleavings_of_independent_ops() {
+        // Two processes, one op each: exactly C(2,1) = 2 schedules.
+        let mut alloc = RegAlloc::new();
+        let bank = alloc.reserve(2);
+        let mut pool: MachinePool<SoloWrite> =
+            (0..2).map(|i| SoloWrite { reg: bank.get(i) }).collect();
+        let mut engine = StepEngine::reusable(alloc.total());
+        let report = explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(100), |pool| {
+            pool.completed().count() == 2
+        });
+        assert!(report.complete && report.minimized.is_none());
+        assert_eq!(report.executions, 2);
+        assert_eq!(report.max_depth, 2);
+    }
+
+    #[test]
+    fn counts_interleavings_two_ops_each() {
+        // Two processes, write then read each: C(4,2) = 6 schedules, and
+        // the unreduced walk neither prunes nor hashes.
         let mut alloc = RegAlloc::new();
         let bank = alloc.reserve(1);
         let mut pool = wr_pool(bank.get(0), &[1, 2]);
         let mut engine = StepEngine::reusable(alloc.total());
-        let oracle = explore_pool_with(&mut engine, &mut pool, 10_000, |_| {});
-        let reduced =
+        let report =
             explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(10_000), |_| true);
-        assert_eq!(oracle.executions, reduced.executions); // C(4,2) = 6
-        assert_eq!(oracle.max_depth, reduced.max_depth);
-        assert!(reduced.complete);
-        assert_eq!(reduced.execs_pruned, 0);
-        assert_eq!(reduced.states_canonical, 0);
+        assert!(report.complete);
+        assert_eq!(report.executions, 6);
+        assert_eq!(report.max_depth, 4);
+        assert_eq!(report.execs_pruned, 0);
+        assert_eq!(report.states_canonical, 0);
+    }
+
+    /// Read-modify-write without atomicity: the lost-update shape.
+    struct Incr {
+        reg: RegId,
+        seen: Option<u64>,
+    }
+
+    impl StepMachine for Incr {
+        type Output = u64;
+        fn op(&self) -> ShmOp {
+            match self.seen {
+                None => ShmOp::Read(self.reg),
+                Some(v) => ShmOp::Write(self.reg, Word::Int(v + 1)),
+            }
+        }
+        fn advance(&mut self, input: &Word) -> Poll<u64> {
+            match self.seen {
+                None => {
+                    self.seen = Some(input.as_int().unwrap_or(0));
+                    Poll::Pending
+                }
+                Some(v) => Poll::Ready(v),
+            }
+        }
+        fn reset(&mut self, _pid: Pid) {
+            self.seen = None;
+        }
+    }
+
+    #[test]
+    fn finds_the_racy_interleaving() {
+        // Exploration must witness an execution where both processes
+        // read 0 (the race), proving coverage beats luck.
+        let mut alloc = RegAlloc::new();
+        let bank = alloc.reserve(1);
+        let mut pool: MachinePool<Incr> = (0..2)
+            .map(|_| Incr {
+                reg: bank.get(0),
+                seen: None,
+            })
+            .collect();
+        let mut engine = StepEngine::reusable(alloc.total());
+        let mut saw_race = false;
+        let report =
+            explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(1_000), |pool| {
+                saw_race |= pool.results().iter().all(|r| matches!(r, Some(Ok(0))));
+                true
+            });
+        assert!(report.complete);
+        assert!(saw_race, "exploration missed the race");
+    }
+
+    #[test]
+    fn truncation_reports_incomplete() {
+        // Three write/read processes span 90 schedules; a cap of 4 stops
+        // the walk at exactly 4.
+        let mut alloc = RegAlloc::new();
+        let bank = alloc.reserve(1);
+        let mut pool = wr_pool(bank.get(0), &[1, 2, 3]);
+        let mut engine = StepEngine::reusable(alloc.total());
+        let report = explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(4), |_| true);
+        assert!(!report.complete);
+        assert_eq!(report.executions, 4);
     }
 
     /// Terminal signature of a completed WriteRead execution: the sorted
@@ -711,9 +847,11 @@ mod tests {
         let mut pool = wr_pool(bank.get(0), &[1, 2]);
         let mut engine = StepEngine::reusable(alloc.total());
         let mut oracle_sigs = BTreeSet::new();
-        let oracle = explore_pool_with(&mut engine, &mut pool, 10_000, |pool| {
-            oracle_sigs.insert(signature(pool));
-        });
+        let oracle =
+            explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(10_000), |pool| {
+                oracle_sigs.insert(signature(pool));
+                true
+            });
         let mut reduced_sigs = BTreeSet::new();
         let reduced = explore_pool_sleep(
             &mut engine,

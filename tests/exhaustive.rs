@@ -4,70 +4,63 @@
 //! safety lemmas: Lemma 1 (compete-for-register), the splitter property,
 //! and snapshot self-inclusion are checked over the *complete* schedule
 //! tree of 2–3 process programs.
+//!
+//! Every walk runs on the one enumerator in `exsel_sim::reduce`. Under
+//! `ReduceConfig::off` it visits every grant sequence, and each tree's
+//! execution count is frozen here as a golden value: a changed count
+//! means the enumerator or a machine's operation sequence changed.
 
-use exclusive_selection::renaming::{MoirAnderson, SlotBank};
-use exclusive_selection::shm::Snapshot;
-use exclusive_selection::sim::explore::{explore, explore_engine};
-use exclusive_selection::{Outcome, RegAlloc, StepMachine, StepRename, Word};
+use exclusive_selection::renaming::{CompeteOp, MoirAnderson, SlotBank};
+use exclusive_selection::shm::snapshot::{ScanOp, UpdateOp};
+use exclusive_selection::shm::{Pid, Snapshot};
+use exclusive_selection::sim::{
+    explore_pool_reduced, explore_pool_sleep, replay_pool, ExploreReport, MachinePool,
+    ReduceConfig, StepEngine,
+};
+use exclusive_selection::storecollect::{FirstStoreOp, StoreCollect};
+use exclusive_selection::unbounded::AltruisticDeposit;
+use exclusive_selection::{Outcome, Poll, RegAlloc, ShmOp, StepMachine, StepRename, Word};
+use std::collections::BTreeSet;
+
+/// Walks every interleaving of `pool` with no reduction and asserts that
+/// the whole tree was covered and `check` held on every execution.
+fn explore_all<M: StepMachine>(
+    engine: &mut StepEngine,
+    pool: &mut MachinePool<M>,
+    check: impl FnMut(&MachinePool<M>) -> bool,
+) -> ExploreReport {
+    let report = explore_pool_sleep(engine, pool, &ReduceConfig::off(u64::MAX), check);
+    assert!(report.complete, "schedule tree not fully covered");
+    assert_eq!(report.minimized, None, "a schedule violates the property");
+    assert_eq!(report.execs_pruned, 0);
+    report
+}
+
+/// At most one contender wins the slot.
+fn compete_ok(pool: &MachinePool<CompeteOp>) -> bool {
+    pool.completed().filter(|(_, won)| **won).count() <= 1
+}
+
+/// `n` contenders (tokens `1..=n`) on one compete slot, plus its engine.
+fn compete_pool(n: u64) -> (StepEngine, MachinePool<CompeteOp>) {
+    let mut alloc = RegAlloc::new();
+    let bank = SlotBank::new(&mut alloc, 1);
+    let pool = (1..=n).map(|t| bank.begin_compete(0, t)).collect();
+    (StepEngine::reusable(alloc.total()), pool)
+}
 
 #[test]
 fn lemma1_exclusive_wins_every_interleaving_two_contenders() {
-    // Both backends cover the identical tree; the thread-backed run keeps
-    // that backend honest, the engine run is the fast path.
-    let mut alloc = RegAlloc::new();
-    let bank = SlotBank::new(&mut alloc, 1);
-    let check = |outcome: &exclusive_selection::sim::SimOutcome<bool>| {
-        let winners = outcome
-            .results
-            .iter()
-            .filter(|r| *r.as_ref().unwrap())
-            .count();
-        assert!(winners <= 1, "two winners in one interleaving");
-    };
-    let threaded = explore(
-        alloc.total(),
-        2,
-        100_000,
-        |ctx| bank.compete(ctx, 0, ctx.pid().0 as u64 + 1),
-        check,
-    );
-    let engine = explore_engine(
-        alloc.total(),
-        2,
-        100_000,
-        |pid| Box::new(bank.begin_compete(0, pid.0 as u64 + 1)),
-        check,
-    );
-    assert!(
-        threaded.complete && engine.complete,
-        "schedule tree not fully covered"
-    );
-    assert_eq!(
-        threaded.executions, engine.executions,
-        "backends saw different trees"
-    );
-    assert!(engine.executions >= 2, "suspiciously few schedules");
+    let (mut engine, mut pool) = compete_pool(2);
+    let report = explore_all(&mut engine, &mut pool, compete_ok);
+    assert_eq!(report.executions, 116);
 }
 
 #[test]
 fn lemma1_exclusive_wins_every_interleaving_three_contenders() {
-    let mut alloc = RegAlloc::new();
-    let bank = SlotBank::new(&mut alloc, 1);
-    let report = explore_engine(
-        alloc.total(),
-        3,
-        2_000_000,
-        |pid| Box::new(bank.begin_compete(0, pid.0 as u64 + 1)),
-        |outcome| {
-            let winners = outcome
-                .results
-                .iter()
-                .filter(|r| *r.as_ref().unwrap())
-                .count();
-            assert!(winners <= 1, "two winners in one interleaving");
-        },
-    );
-    assert!(report.complete, "schedule tree not fully covered");
+    let (mut engine, mut pool) = compete_pool(3);
+    let report = explore_all(&mut engine, &mut pool, compete_ok);
+    assert_eq!(report.executions, 73_608);
 }
 
 /// A bank walk: compete for slot 0, then slot 1 if lost, and so on. The
@@ -76,7 +69,7 @@ struct SlotWalk {
     bank: SlotBank,
     token: u64,
     slot: usize,
-    inner: exclusive_selection::renaming::CompeteOp,
+    inner: CompeteOp,
 }
 
 impl SlotWalk {
@@ -92,11 +85,10 @@ impl SlotWalk {
 
 impl StepMachine for SlotWalk {
     type Output = Option<usize>;
-    fn op(&self) -> exclusive_selection::ShmOp {
+    fn op(&self) -> ShmOp {
         self.inner.op()
     }
-    fn advance(&mut self, input: &Word) -> exclusive_selection::Poll<Option<usize>> {
-        use exclusive_selection::Poll;
+    fn advance(&mut self, input: &Word) -> Poll<Option<usize>> {
         match self.inner.advance(input) {
             Poll::Pending => Poll::Pending,
             Poll::Ready(true) => Poll::Ready(Some(self.slot)),
@@ -111,74 +103,143 @@ impl StepMachine for SlotWalk {
             }
         }
     }
+    fn reset(&mut self, _pid: Pid) {
+        self.slot = 0;
+        self.inner = self.bank.begin_compete(0, self.token);
+    }
 }
 
 #[test]
 fn lemma1_walks_exclusive_every_interleaving_two_contenders_three_slots() {
-    // Up to 15 ops per process, schedule-tree depth 26, ~185k complete
-    // executions — a depth the thread-backed explorer cannot finish in
-    // reasonable test time; on the engine it is routine. Every
+    // Up to 15 ops per process, schedule-tree depth 26: every
     // interleaving must keep slot wins exclusive.
     let mut alloc = RegAlloc::new();
     let bank = SlotBank::new(&mut alloc, 3);
-    let report = explore_engine(
-        alloc.total(),
-        2,
-        1_000_000,
-        |pid| Box::new(SlotWalk::new(&bank, pid.0 as u64 + 1)),
-        |outcome| {
-            let wins: Vec<usize> = outcome
-                .results
-                .iter()
-                .filter_map(|r| *r.as_ref().unwrap())
-                .collect();
-            let set: std::collections::BTreeSet<usize> = wins.iter().copied().collect();
-            assert_eq!(set.len(), wins.len(), "a slot won twice: {wins:?}");
-        },
-    );
-    assert!(report.complete, "schedule tree not fully covered");
-    assert!(
-        report.executions > 100_000,
-        "only {} schedules",
-        report.executions
-    );
+    let mut pool: MachinePool<SlotWalk> = (1..=2).map(|t| SlotWalk::new(&bank, t)).collect();
+    let mut engine = StepEngine::reusable(alloc.total());
+    let report = explore_all(&mut engine, &mut pool, |pool| {
+        let wins: Vec<usize> = pool.completed().filter_map(|(_, won)| *won).collect();
+        let set: BTreeSet<usize> = wins.iter().copied().collect();
+        set.len() == wins.len()
+    });
+    assert_eq!(report.executions, 185_240);
 }
 
 #[test]
 fn splitter_grid_exclusive_every_interleaving_k2() {
+    // The grid program is 4–8 ops per process: a real tree, not a toy.
     let mut alloc = RegAlloc::new();
     let algo = MoirAnderson::new(&mut alloc, 2);
-    let report = explore_engine(
-        alloc.total(),
-        2,
-        500_000,
-        |pid| {
-            Box::new(
-                algo.begin_rename(pid, pid.0 as u64 + 1)
-                    .map_output(Outcome::name),
-            )
-        },
-        |outcome| {
-            let names: Vec<u64> = outcome
-                .results
-                .iter()
-                .map(|r| {
-                    r.as_ref()
-                        .unwrap()
-                        .expect("within capacity: both must stop")
-                })
-                .collect();
-            assert_ne!(names[0], names[1], "duplicate names");
-            assert!(names.iter().all(|&m| (1..=3).contains(&m)));
-        },
-    );
-    assert!(report.complete);
-    // The grid program is 4–8 ops per process: a real tree, not a toy.
-    assert!(
-        report.executions > 50,
-        "only {} schedules",
-        report.executions
-    );
+    let mut pool: MachinePool<_> = (0..2)
+        .map(|p| {
+            algo.begin_rename(Pid(p), p as u64 + 1)
+                .map_output(Outcome::name as fn(Outcome) -> Option<u64>)
+        })
+        .collect();
+    let mut engine = StepEngine::reusable(alloc.total());
+    let report = explore_all(&mut engine, &mut pool, |pool| {
+        // Within capacity both must stop, on distinct names in 1..=3.
+        let names: Vec<Option<u64>> = pool.completed().map(|(_, name)| *name).collect();
+        names.len() == 2 && names[0] != names[1] && names.iter().all(|m| matches!(m, Some(1..=3)))
+    });
+    assert_eq!(report.executions, 1_694);
+}
+
+/// One step of a snapshot test program.
+#[derive(Clone, Copy)]
+enum SnapStep {
+    /// Update component `.0` to `.1`.
+    Update(usize, u64),
+    /// Scan, and report component `.0` of the view.
+    Scan(usize),
+}
+
+/// A snapshot test program as a step machine: its steps run in order,
+/// each as a fresh `UpdateOp` or `ScanOp` — the same operations the
+/// blocking `update`/`scan` calls drive. Outputs the reported component
+/// of the last scan (`None` for ⊥ or no scan).
+struct SnapProgram {
+    snap: Snapshot,
+    steps: &'static [SnapStep],
+    at: usize,
+    op: SnapOp,
+    reported: Option<u64>,
+}
+
+enum SnapOp {
+    Update(UpdateOp),
+    Scan(ScanOp),
+}
+
+impl SnapProgram {
+    fn new(snap: &Snapshot, steps: &'static [SnapStep]) -> Self {
+        SnapProgram {
+            snap: snap.clone(),
+            steps,
+            at: 0,
+            op: Self::begin(snap, steps[0]),
+            reported: None,
+        }
+    }
+
+    fn begin(snap: &Snapshot, step: SnapStep) -> SnapOp {
+        match step {
+            SnapStep::Update(slot, v) => SnapOp::Update(snap.begin_update(slot, Word::Int(v))),
+            SnapStep::Scan(_) => SnapOp::Scan(snap.begin_scan()),
+        }
+    }
+}
+
+impl StepMachine for SnapProgram {
+    type Output = Option<u64>;
+    fn op(&self) -> ShmOp {
+        match &self.op {
+            SnapOp::Update(update) => update.op(),
+            SnapOp::Scan(scan) => scan.op(),
+        }
+    }
+    fn advance(&mut self, input: &Word) -> Poll<Option<u64>> {
+        let done = match &mut self.op {
+            SnapOp::Update(update) => matches!(update.advance(input), Poll::Ready(())),
+            SnapOp::Scan(scan) => match (scan.advance(input), self.steps[self.at]) {
+                (Poll::Ready(view), SnapStep::Scan(c)) => {
+                    self.reported = view[c].as_int();
+                    true
+                }
+                _ => false,
+            },
+        };
+        if !done {
+            return Poll::Pending;
+        }
+        self.at += 1;
+        match self.steps.get(self.at) {
+            Some(&step) => {
+                self.op = Self::begin(&self.snap, step);
+                Poll::Pending
+            }
+            None => Poll::Ready(self.reported),
+        }
+    }
+    fn reset(&mut self, _pid: Pid) {
+        self.at = 0;
+        self.op = Self::begin(&self.snap, self.steps[0]);
+        self.reported = None;
+    }
+}
+
+/// Two snapshot programs on one 2-component snapshot, plus their engine.
+fn snap_pool(
+    p0: &'static [SnapStep],
+    p1: &'static [SnapStep],
+) -> (StepEngine, MachinePool<SnapProgram>) {
+    let mut alloc = RegAlloc::new();
+    let snap = Snapshot::new(&mut alloc, 2);
+    let pool = [p0, p1]
+        .into_iter()
+        .map(|steps| SnapProgram::new(&snap, steps))
+        .collect();
+    (StepEngine::reusable(alloc.total()), pool)
 }
 
 #[test]
@@ -186,32 +247,14 @@ fn snapshot_self_inclusion_every_interleaving() {
     // p0 updates its component; p1 updates its component then scans: the
     // scan must include p1's own value, under every interleaving of the
     // two operations' register accesses.
-    let mut alloc = RegAlloc::new();
-    let snap = Snapshot::new(&mut alloc, 2);
-    let report = explore(
-        alloc.total(),
-        2,
-        500_000,
-        |ctx| {
-            let slot = ctx.pid().0;
-            snap.update(ctx, slot, Word::Int(slot as u64 + 10))?;
-            if slot == 1 {
-                let view = snap.scan(ctx)?;
-                return Ok(view[1].as_int());
-            }
-            Ok(None)
-        },
-        |outcome| {
-            let scanned = outcome.results[1].as_ref().unwrap();
-            assert_eq!(*scanned, Some(11), "scan missed own completed update");
-        },
+    let (mut engine, mut pool) = snap_pool(
+        &[SnapStep::Update(0, 10)],
+        &[SnapStep::Update(1, 11), SnapStep::Scan(1)],
     );
-    assert!(report.complete);
-    assert!(
-        report.executions > 100,
-        "only {} schedules",
-        report.executions
-    );
+    let report = explore_all(&mut engine, &mut pool, |pool| {
+        matches!(pool.results()[1], Some(Ok(Some(11))))
+    });
+    assert_eq!(report.executions, 16_044);
 }
 
 #[test]
@@ -219,55 +262,21 @@ fn snapshot_validity_every_interleaving() {
     // p0 scans while p1 performs two updates: the scanned component is
     // one of ⊥ → 10 → 20 (never a torn or resurrected value), under
     // every interleaving.
-    let mut alloc = RegAlloc::new();
-    let snap = Snapshot::new(&mut alloc, 2);
-    let report = explore(
-        alloc.total(),
-        2,
-        2_000_000,
-        |ctx| {
-            if ctx.pid().0 == 0 {
-                let view = snap.scan(ctx)?;
-                Ok(view[1].as_int())
-            } else {
-                snap.update(ctx, 1, Word::Int(10))?;
-                snap.update(ctx, 1, Word::Int(20))?;
-                Ok(None)
-            }
-        },
-        |outcome| {
-            let scanned = outcome.results[0].as_ref().unwrap();
-            assert!(
-                matches!(scanned, None | Some(10) | Some(20)),
-                "invalid scanned value {scanned:?}"
-            );
-        },
+    let (mut engine, mut pool) = snap_pool(
+        &[SnapStep::Scan(1)],
+        &[SnapStep::Update(1, 10), SnapStep::Update(1, 20)],
     );
-    assert!(report.complete);
+    let report = explore_all(&mut engine, &mut pool, |pool| {
+        matches!(pool.results()[0], Some(Ok(None | Some(10) | Some(20))))
+    });
+    assert_eq!(report.executions, 9_954);
 }
 
 // ---------------------------------------------------------------------
-// Reduced exploration differentials: the `exsel_sim::reduce` enumerator
-// against the unreduced oracle, across three machine families. The
-// oracle flag (`ReduceConfig::off`) must replay the exact unreduced
-// tree; sleep sets may drop interleavings but never terminal states or
-// verdicts; the full symmetry stack must preserve pass/fail.
+// Reduction differentials: sleep sets may drop interleavings but never
+// terminal states or verdicts; the full symmetry stack must preserve
+// pass/fail. The unreduced arm is `ReduceConfig::off`.
 // ---------------------------------------------------------------------
-
-use exclusive_selection::renaming::CompeteOp;
-use exclusive_selection::shm::Pid;
-use exclusive_selection::sim::explore::explore_pool_with;
-use exclusive_selection::sim::{
-    explore_pool_reduced, explore_pool_sleep, replay_pool, MachinePool, ReduceConfig, StepEngine,
-};
-use exclusive_selection::storecollect::{FirstStoreOp, StoreCollect};
-use exclusive_selection::unbounded::AltruisticDeposit;
-use std::collections::BTreeSet;
-
-/// At most one contender wins the slot.
-fn compete_ok(pool: &MachinePool<CompeteOp>) -> bool {
-    pool.completed().filter(|(_, won)| **won).count() <= 1
-}
 
 /// The per-process results vector — the terminal-state signature the
 /// sleep-set differential compares as a set.
@@ -278,31 +287,12 @@ where
     pool.results().iter().map(|r| format!("{r:?}")).collect()
 }
 
-/// A 3-contender compete pool plus its engine.
-fn compete3() -> (StepEngine, MachinePool<CompeteOp>) {
-    let mut alloc = RegAlloc::new();
-    let bank = SlotBank::new(&mut alloc, 1);
-    let pool: MachinePool<CompeteOp> = (1..=3u64).map(|t| bank.begin_compete(0, t)).collect();
-    (StepEngine::reusable(alloc.total()), pool)
-}
-
 #[test]
 fn oracle_flag_replays_the_unreduced_tree_across_families() {
-    // Compete, 3 contenders: the committed 73,608-execution tree.
-    let (mut engine, mut pool) = compete3();
-    let unreduced = explore_pool_with(&mut engine, &mut pool, u64::MAX, |_| {});
-    let oracle = explore_pool_sleep(
-        &mut engine,
-        &mut pool,
-        &ReduceConfig::off(u64::MAX),
-        compete_ok,
-    );
-    assert_eq!(unreduced.executions, 73_608);
-    assert_eq!(oracle.executions, unreduced.executions);
-    assert_eq!(oracle.execs_pruned, 0);
-    assert!(oracle.complete && oracle.minimized.is_none());
+    // The compete trees are pinned by the Lemma 1 tests above; these are
+    // the other two families the reductions are checked against.
 
-    // Store&collect setting (i), 2 contenders (the 3-proc oracle tree
+    // Store&collect setting (i), 2 contenders (the 3-proc unreduced tree
     // holds 17.15M executions — release-mode bench territory, see the
     // explore-reduced scenario).
     let mut alloc = RegAlloc::new();
@@ -316,12 +306,8 @@ fn oracle_flag_replays_the_unreduced_tree_across_families() {
         .map(|p| sc.begin_first_store(Pid(p), p as u64 + 1, 7))
         .collect();
     let mut engine = StepEngine::reusable(alloc.total());
-    let unreduced = explore_pool_with(&mut engine, &mut pool, u64::MAX, |_| {});
-    let oracle = explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(u64::MAX), |_| {
-        true
-    });
-    assert_eq!(oracle.executions, unreduced.executions);
-    assert!(oracle.complete);
+    let report = explore_all(&mut engine, &mut pool, |_| true);
+    assert_eq!(report.executions, 924);
 
     // Deposit, 3 serve-only machines (fixed event counts — depositor
     // machines have schedule-dependent depth and an astronomically
@@ -330,22 +316,17 @@ fn oracle_flag_replays_the_unreduced_tree_across_families() {
     let repo = AltruisticDeposit::new(&mut alloc, 3, 6);
     let mut pool: MachinePool<_> = (0..3).map(|p| repo.begin_server(Pid(p), 2)).collect();
     let mut engine = StepEngine::reusable(alloc.total());
-    let unreduced = explore_pool_with(&mut engine, &mut pool, u64::MAX, |_| {});
-    let oracle = explore_pool_sleep(
-        &mut engine,
-        &mut pool,
-        &ReduceConfig::off(u64::MAX),
-        |pool| pool.results().iter().all(|r| matches!(r, Some(Ok(None)))),
-    );
-    assert_eq!(oracle.executions, unreduced.executions);
-    assert!(oracle.complete && oracle.minimized.is_none());
+    let report = explore_all(&mut engine, &mut pool, |pool| {
+        pool.results().iter().all(|r| matches!(r, Some(Ok(None))))
+    });
+    assert_eq!(report.executions, 90);
 }
 
 #[test]
 fn sleep_sets_preserve_terminal_states_and_verdicts_across_families() {
     // Compete, 3 contenders: strictly fewer executions, identical
     // terminal-state set, identical verdict.
-    let (mut engine, mut pool) = compete3();
+    let (mut engine, mut pool) = compete_pool(3);
     let mut oracle_sigs = BTreeSet::new();
     let oracle = explore_pool_sleep(
         &mut engine,
@@ -436,7 +417,7 @@ fn sleep_sets_preserve_terminal_states_and_verdicts_across_families() {
 #[test]
 fn symmetry_stack_agrees_with_the_oracle_on_compete_verdicts() {
     // Passing checker: oracle and full stack both report no failure.
-    let (mut engine, mut pool) = compete3();
+    let (mut engine, mut pool) = compete_pool(3);
     let tokens = vec![1u64, 2, 3];
     let oracle = explore_pool_sleep(
         &mut engine,
@@ -495,7 +476,7 @@ fn shrinker_minimizes_a_seeded_known_bad_interleaving() {
     // the raw failing schedule, (c) be deterministic across runs.
     let pid0_never_wins =
         |pool: &MachinePool<CompeteOp>| !matches!(pool.results()[0], Some(Ok(true)));
-    let (mut engine, mut pool) = compete3();
+    let (mut engine, mut pool) = compete_pool(3);
     let raw = explore_pool_sleep(
         &mut engine,
         &mut pool,
