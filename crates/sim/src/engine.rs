@@ -678,6 +678,83 @@ impl<B: RegisterBank> StepEngine<B> {
         self.drive_bank(policy, &mut SliceBank(machines), results, steps);
     }
 
+    /// Starts a **stepped** pooled trial: resets the engine and the pool
+    /// exactly as [`StepEngine::run_pool`] does and builds the pending
+    /// set, then hands control to the caller, who grants one process at
+    /// a time with [`StepEngine::grant_stepped`] and reads the frontier
+    /// back with [`StepEngine::stepped_pending`]. Granting a schedule
+    /// pid by pid leaves the pool, the register bank and the metrics
+    /// exactly where `run_pool` under [`crate::policy::Scripted`] leaves
+    /// them. The exhaustive walk descends the schedule tree on one live
+    /// trial this way instead of re-running the prefix at every node.
+    pub(crate) fn begin_stepped<M: StepMachine>(&mut self, pool: &mut MachinePool<M>) {
+        self.reset();
+        pool.begin_trial();
+        let (machines, results, steps) = pool.trial_buffers();
+        self.begin_bank(&SliceBank(machines), results, steps);
+        self.metrics.trials = 1;
+    }
+
+    /// The live pending set of the stepped trial, sorted by pid; empty
+    /// once every machine has completed.
+    pub(crate) fn stepped_pending(&self) -> &[PendingOp] {
+        &self.pending
+    }
+
+    /// Grants `pid`'s pending operation in the stepped trial.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` is not pending.
+    pub(crate) fn grant_stepped<M: StepMachine>(&mut self, pool: &mut MachinePool<M>, pid: Pid) {
+        let idx = self.pending_pos[pid.0];
+        assert!(
+            idx != NOT_PENDING,
+            "stepped grant of non-pending process {pid}: the schedule diverged from the trial"
+        );
+        let (machines, results, steps) = pool.trial_buffers();
+        self.grant(&mut SliceBank(machines), results, steps, idx, true);
+    }
+
+    /// Re-arms the per-trial scratch of an unsharded trial: no process
+    /// crashed, and the pending set built from scratch.
+    fn begin_bank<MB: MachineBank>(
+        &mut self,
+        bank: &MB,
+        results: &[Option<Result<MB::Output, Crash>>],
+        steps: &[u64],
+    ) {
+        debug_assert!(results.iter().all(Option::is_none));
+        self.crashed.clear();
+        self.crashed.resize(bank.len(), CrashKind::None);
+        self.rebuild_pending(bank, results, steps);
+    }
+
+    /// Rebuilds the pending set with one [`MachineBank::peek`] per live
+    /// machine.
+    fn rebuild_pending<MB: MachineBank>(
+        &mut self,
+        bank: &MB,
+        results: &[Option<Result<MB::Output, Crash>>],
+        steps: &[u64],
+    ) {
+        self.pending.clear();
+        self.pending_pos.clear();
+        self.pending_pos.resize(bank.len(), NOT_PENDING);
+        for pid in 0..bank.len() {
+            if results[pid].is_none() {
+                let (kind, reg) = bank.peek(pid);
+                self.pending_pos[pid] = self.pending.len();
+                self.pending.push(PendingOp {
+                    pid: Pid(pid),
+                    kind,
+                    reg,
+                    step_index: steps[pid],
+                });
+            }
+        }
+    }
+
     /// The grant loop shared by every unsharded trial entry point,
     /// generic over the machine storage: `bank` index `i` is process
     /// `Pid(i)`; a process is live while `results[i]` is `None`.
@@ -686,10 +763,7 @@ impl<B: RegisterBank> StepEngine<B> {
     /// **incrementally**: it is built once at trial start, and each
     /// decision only touches the granted machine's entry (one
     /// [`MachineBank::peek`]) or removes a finished one — not one peek
-    /// per live machine per decision. Reads hand machines a borrow of
-    /// the register word (no clone — snapshot scanners exploit this);
-    /// the operand word of a write is materialized exactly once, at the
-    /// grant.
+    /// per live machine per decision.
     fn drive_bank<MB: MachineBank>(
         &mut self,
         policy: &mut dyn Policy,
@@ -697,53 +771,13 @@ impl<B: RegisterBank> StepEngine<B> {
         results: &mut [Option<Result<MB::Output, Crash>>],
         steps: &mut [u64],
     ) {
-        let n = bank.len();
-        debug_assert!(results.iter().all(Option::is_none));
-        self.crashed.clear();
-        self.crashed.resize(n, CrashKind::None);
-        let mut live_count = n;
-        let mut total_ops = 0u64;
-
-        let rebuild = |pending: &mut Vec<PendingOp>,
-                       pending_pos: &mut Vec<usize>,
-                       bank: &MB,
-                       results: &[Option<Result<MB::Output, Crash>>],
-                       steps: &[u64]| {
-            pending.clear();
-            pending_pos.clear();
-            pending_pos.resize(bank.len(), NOT_PENDING);
-            for pid in 0..bank.len() {
-                if results[pid].is_none() {
-                    let (kind, reg) = bank.peek(pid);
-                    pending_pos[pid] = pending.len();
-                    pending.push(PendingOp {
-                        pid: Pid(pid),
-                        kind,
-                        reg,
-                        step_index: steps[pid],
-                    });
-                }
-            }
-        };
-        rebuild(
-            &mut self.pending,
-            &mut self.pending_pos,
-            bank,
-            results,
-            steps,
-        );
-
+        self.begin_bank(bank, results, steps);
+        let mut live_count = bank.len();
         while live_count > 0 {
             if self.pending_rebuild {
-                rebuild(
-                    &mut self.pending,
-                    &mut self.pending_pos,
-                    bank,
-                    results,
-                    steps,
-                );
+                self.rebuild_pending(bank, results, steps);
             }
-            if total_ops >= self.max_total_ops {
+            if self.metrics.total_ops >= self.max_total_ops {
                 assert!(
                     !self.panic_on_budget,
                     "simulation exceeded its operation budget of {} ops — livelocked algorithm?",
@@ -769,64 +803,8 @@ impl<B: RegisterBank> StepEngine<B> {
                         idx != NOT_PENDING,
                         "policy granted non-pending process {pid}"
                     );
-                    let PendingOp { kind, reg, .. } = self.pending[idx];
-                    assert!(
-                        reg.0 < self.regs.len(),
-                        "register {reg} out of range ({} registers)",
-                        self.regs.len()
-                    );
-                    if self.measure_contention {
-                        let contention = self.pending.iter().filter(|p| p.reg == reg).count();
-                        self.metrics.max_contention = self.metrics.max_contention.max(contention);
-                    }
-                    self.metrics.ops_per_register[reg.0] += 1;
-                    if self.record_trace {
-                        self.trace.push(PendingOp {
-                            pid,
-                            kind,
-                            reg,
-                            step_index: steps[pid.0],
-                        });
-                    }
-                    steps[pid.0] += 1;
-                    total_ops += 1;
-                    #[cfg(feature = "check")]
-                    if let Some(c) = &mut self.checker {
-                        c.observe(pid, kind, reg, total_ops);
-                    }
-                    // Perform the granted operation in place; reads pass
-                    // the machine a borrow of the register word.
-                    let poll = match kind {
-                        OpKind::Read => {
-                            self.metrics.reads += 1;
-                            bank.advance(pid.0, self.regs.read(reg))
-                        }
-                        OpKind::Write => {
-                            self.metrics.writes += 1;
-                            let word = bank.write_operand(pid.0);
-                            self.regs.write(reg, word);
-                            bank.advance(pid.0, &NULL_WORD)
-                        }
-                    };
-                    match poll {
-                        Poll::Ready(out) => {
-                            results[pid.0] = Some(Ok(out));
-                            live_count -= 1;
-                            if !self.pending_rebuild {
-                                self.remove_pending(idx);
-                            }
-                        }
-                        Poll::Pending => {
-                            if !self.pending_rebuild {
-                                let (kind, reg) = bank.peek(pid.0);
-                                self.pending[idx] = PendingOp {
-                                    pid,
-                                    kind,
-                                    reg,
-                                    step_index: steps[pid.0],
-                                };
-                            }
-                        }
+                    if self.grant(bank, results, steps, idx, !self.pending_rebuild) {
+                        live_count -= 1;
                     }
                 }
                 Action::Crash(pid) => {
@@ -842,14 +820,85 @@ impl<B: RegisterBank> StepEngine<B> {
                 }
             }
         }
-
         self.metrics.trials = 1;
-        self.metrics.total_ops = total_ops;
-        self.metrics.max_steps = steps.iter().copied().max().unwrap_or(0);
+    }
+
+    /// The one unsharded grant body: performs the operation pending at
+    /// `pending[idx]` and books it — metrics, trace, the footprint
+    /// checker, the register access and (with `maintain`) the
+    /// incremental pending-set update. Reads hand the machine a borrow
+    /// of the register word (no clone — snapshot scanners exploit this);
+    /// the operand word of a write is materialized exactly once, here.
+    /// Returns whether the grantee completed.
+    #[inline]
+    fn grant<MB: MachineBank>(
+        &mut self,
+        bank: &mut MB,
+        results: &mut [Option<Result<MB::Output, Crash>>],
+        steps: &mut [u64],
+        idx: usize,
+        maintain: bool,
+    ) -> bool {
+        let PendingOp { pid, kind, reg, .. } = self.pending[idx];
+        assert!(
+            reg.0 < self.regs.len(),
+            "register {reg} out of range ({} registers)",
+            self.regs.len()
+        );
+        if self.measure_contention {
+            let contention = self.pending.iter().filter(|p| p.reg == reg).count();
+            self.metrics.max_contention = self.metrics.max_contention.max(contention);
+        }
+        self.metrics.ops_per_register[reg.0] += 1;
+        if self.record_trace {
+            self.trace.push(PendingOp {
+                pid,
+                kind,
+                reg,
+                step_index: steps[pid.0],
+            });
+        }
+        steps[pid.0] += 1;
+        self.metrics.total_ops += 1;
+        self.metrics.max_steps = self.metrics.max_steps.max(steps[pid.0]);
         #[cfg(feature = "check")]
-        if let Some(c) = &self.checker {
+        if let Some(c) = &mut self.checker {
+            c.observe(pid, kind, reg, self.metrics.total_ops);
             self.metrics.checker_ops = c.trial_ops();
             self.metrics.checker_violations = c.trial_violations();
+        }
+        let poll = match kind {
+            OpKind::Read => {
+                self.metrics.reads += 1;
+                bank.advance(pid.0, self.regs.read(reg))
+            }
+            OpKind::Write => {
+                self.metrics.writes += 1;
+                let word = bank.write_operand(pid.0);
+                self.regs.write(reg, word);
+                bank.advance(pid.0, &NULL_WORD)
+            }
+        };
+        match poll {
+            Poll::Ready(out) => {
+                results[pid.0] = Some(Ok(out));
+                if maintain {
+                    self.remove_pending(idx);
+                }
+                true
+            }
+            Poll::Pending => {
+                if maintain {
+                    let (kind, reg) = bank.peek(pid.0);
+                    self.pending[idx] = PendingOp {
+                        pid,
+                        kind,
+                        reg,
+                        step_index: steps[pid.0],
+                    };
+                }
+                false
+            }
         }
     }
 
@@ -1419,6 +1468,84 @@ mod tests {
             .run(Vec::<Box<dyn StepMachine<Output = ()>>>::new());
         assert!(outcome.results.is_empty());
         assert_eq!(outcome.total_ops, 0);
+    }
+
+    /// Grants 20 seeded random schedules pid by pid through the stepped
+    /// trial and replays each through `run_pool` under [`Scripted`]: the
+    /// results, steps, every register and the metrics must agree.
+    fn stepped_matches_scripted<M>(label: &str, regs: usize, pool: &mut MachinePool<M>)
+    where
+        M: StepMachine,
+        M::Output: Clone + PartialEq + std::fmt::Debug,
+    {
+        let mut stepped = StepEngine::reusable(regs);
+        let mut scripted = StepEngine::reusable(regs).record_trace(true);
+        for seed in 0..20u64 {
+            scripted.run_pool(&mut RandomPolicy::new(seed), pool);
+            let schedule: Vec<Pid> = scripted
+                .trace()
+                .expect("trace recorded")
+                .iter()
+                .map(|op| op.pid)
+                .collect();
+
+            stepped.begin_stepped(pool);
+            for &pid in &schedule {
+                stepped.grant_stepped(pool, pid);
+            }
+            assert!(stepped.stepped_pending().is_empty(), "{label} seed {seed}");
+            let results = pool.results().to_vec();
+            let steps = pool.steps().to_vec();
+
+            scripted.run_pool(&mut Scripted::new(schedule.iter().copied()), pool);
+            assert_eq!(results, pool.results(), "{label} seed {seed}: results");
+            assert_eq!(steps, pool.steps(), "{label} seed {seed}: steps");
+            for r in 0..regs {
+                assert_eq!(
+                    stepped.load_register(RegId(r)),
+                    scripted.load_register(RegId(r)),
+                    "{label} seed {seed}: register {r}"
+                );
+            }
+            // Whole-struct: total_ops, reads, writes, ops_per_register,
+            // max_steps and the rest.
+            assert_eq!(
+                stepped.metrics(),
+                scripted.metrics(),
+                "{label} seed {seed}: metrics"
+            );
+        }
+    }
+
+    #[test]
+    fn stepped_trial_matches_scripted_run_pool() {
+        // Compete-For-Register, 3 contenders.
+        let mut alloc = RegAlloc::new();
+        let bank = exsel_core::SlotBank::new(&mut alloc, 1);
+        let mut pool: MachinePool<_> = (1..=3).map(|t| bank.begin_compete(0, t)).collect();
+        stepped_matches_scripted("compete", alloc.total(), &mut pool);
+
+        // Store&collect first stores, 4 contenders.
+        let mut alloc = RegAlloc::new();
+        let sc = exsel_storecollect::StoreCollect::known(
+            &mut alloc,
+            4,
+            4,
+            &exsel_core::RenameConfig::default(),
+        );
+        let mut pool: MachinePool<_> = (0..4)
+            .map(|p| sc.begin_first_store(Pid(p), p as u64 + 1, 7))
+            .collect();
+        stepped_matches_scripted("first-store", alloc.total(), &mut pool);
+
+        // The deposit family: two depositors and a serve-only helper.
+        let mut alloc = RegAlloc::new();
+        let repo = exsel_unbounded::AltruisticDeposit::new(&mut alloc, 3, 512);
+        let mut pool: MachinePool<_> = (0..2)
+            .map(|p| repo.begin_deposit(Pid(p), 100 * p as u64, 2))
+            .chain(std::iter::once(repo.begin_server(Pid(2), 2)))
+            .collect();
+        stepped_matches_scripted("deposit", alloc.total(), &mut pool);
     }
 
     #[test]

@@ -57,12 +57,12 @@
 //! schedule that still fails — lands in
 //! [`ExploreReport::minimized`]; [`replay_pool`] re-executes it.
 //!
-//! Every node of the walk is one engine run: the prefix of grants is
-//! replayed, the pending set past it observed once, and the run aborted
-//! by crashing the remaining machines — [`crate::Action::Crash`] never
-//! advances a machine, so the post-abort pool and bank are *exactly*
-//! the node's state, which is what makes the fingerprint probe free of
-//! any state-cloning machinery.
+//! The walk descends one live, *stepped* engine trial: each node's
+//! pending set is copied into a per-depth frame reused for the whole
+//! walk, the live pool and bank — the node's state — are fingerprinted
+//! in place, and the first unpruned child is granted directly. Only a
+//! later sibling re-grants the prefix from the root, and a replay that
+//! does not land on the recorded node panics (an unfaithful `reset`).
 //!
 //! ```
 //! use exsel_core::SlotBank;
@@ -86,7 +86,7 @@ use std::collections::HashMap;
 use exsel_shm::{Fingerprint, OpKind, Pid, RegisterBank, StateHasher, StepMachine, TokenMap};
 
 use crate::engine::StepEngine;
-use crate::policy::{Action, PendingOp, Policy, Scripted};
+use crate::policy::{PendingOp, Scripted};
 use crate::pool::MachinePool;
 
 /// Outcome of an exhaustive exploration.
@@ -195,37 +195,6 @@ pub fn independent(a: &PendingOp, b: &PendingOp) -> bool {
     a.reg != b.reg || (a.kind == OpKind::Read && b.kind == OpKind::Read)
 }
 
-/// Replays `prefix` grants, observes the pending set at its frontier
-/// once, then aborts the run by crashing every remaining machine.
-/// `Action::Crash` never advances a machine, so the post-run pool and
-/// bank are exactly the state at depth `prefix.len()`; `recorded` stays
-/// `false` iff the prefix ran to quiescence (a leaf).
-struct ProbePolicy<'a> {
-    prefix: &'a [Pid],
-    depth: usize,
-    observed: Vec<PendingOp>,
-    recorded: bool,
-}
-
-impl Policy for ProbePolicy<'_> {
-    fn decide(&mut self, pending: &[PendingOp]) -> Action {
-        if self.depth < self.prefix.len() {
-            let pid = self.prefix[self.depth];
-            self.depth += 1;
-            debug_assert!(
-                pending.iter().any(|op| op.pid == pid),
-                "replayed prefix diverged: {pid} not pending"
-            );
-            return Action::Grant(pid);
-        }
-        if !self.recorded {
-            self.recorded = true;
-            self.observed.extend_from_slice(pending);
-        }
-        Action::Crash(pending[0].pid)
-    }
-}
-
 /// Canonical-state digest of the current pool + bank, plus the node's
 /// sleep mask mapped into canonical pid positions.
 type KeyFn<'k, M, B> = Box<dyn FnMut(&MachinePool<M>, &B, u64) -> (u128, u64) + 'k>;
@@ -248,6 +217,11 @@ struct Dfs<'e, 'k, M: StepMachine, B: RegisterBank, C> {
     /// was already expanded under.
     visited: HashMap<u128, Vec<u64>>,
     failing: Option<Vec<Pid>>,
+    /// The grants from the root to the current node.
+    prefix: Vec<Pid>,
+    /// `frames[d]` holds the pending set of the node at depth `d` on the
+    /// current path, reused across the whole walk.
+    frames: Vec<Vec<PendingOp>>,
 }
 
 impl<M, B, C> Dfs<'_, '_, M, B, C>
@@ -256,7 +230,9 @@ where
     B: RegisterBank,
     C: FnMut(&MachinePool<M>) -> bool,
 {
-    fn walk(&mut self, prefix: &mut Vec<Pid>, sleep: u64) {
+    /// Expands the node at `depth`. On entry the engine's stepped trial
+    /// sits exactly at that node: `prefix` granted from the root.
+    fn walk(&mut self, depth: usize, sleep: u64) {
         if self.truncated {
             return;
         }
@@ -264,31 +240,25 @@ where
             self.truncated = true;
             return;
         }
-        let mut probe = ProbePolicy {
-            prefix: prefix.as_slice(),
-            depth: 0,
-            observed: Vec::new(),
-            recorded: false,
-        };
-        self.engine.run_pool(&mut probe, self.pool);
-        let (pending, is_leaf) = (probe.observed, !probe.recorded);
+        if self.frames.len() == depth {
+            self.frames.push(Vec::new());
+        }
+        let frame = &mut self.frames[depth];
+        frame.clear();
+        frame.extend_from_slice(self.engine.stepped_pending());
 
-        if is_leaf {
+        if frame.is_empty() {
             self.executions += 1;
-            self.max_depth = self.max_depth.max(prefix.len());
+            self.max_depth = self.max_depth.max(depth);
             if !(self.check)(self.pool) && self.failing.is_none() {
-                self.failing = Some(prefix.clone());
+                self.failing = Some(self.prefix.clone());
             }
             return;
         }
 
-        if self.key.is_some() {
-            let (digest, cmask) = {
-                let Dfs {
-                    key, pool, engine, ..
-                } = self;
-                (key.as_mut().expect("checked"))(&**pool, engine.bank(), sleep)
-            };
+        if let Some(key) = &mut self.key {
+            // The live trial *is* the node's state: digest it in place.
+            let (digest, cmask) = key(self.pool, self.engine.bank(), sleep);
             let masks = self.visited.entry(digest).or_default();
             // Covering-mask rule: an earlier expansion of this state
             // under a subset sleep mask explored a superset of branches.
@@ -300,10 +270,14 @@ where
         }
 
         let mut sleep = sleep;
-        for idx in 0..pending.len() {
+        // Whether the engine still sits at this node: only the first
+        // walked child is reached without replaying the prefix.
+        let mut at_node = true;
+        for idx in 0..self.frames[depth].len() {
             if self.truncated {
                 return;
             }
+            let pending = &self.frames[depth];
             let c = pending[idx];
             let bit = 1u64 << c.pid.0;
             if self.sleep_sets && sleep & bit != 0 {
@@ -322,13 +296,34 @@ where
             } else {
                 0
             };
-            prefix.push(c.pid);
-            self.walk(prefix, child_sleep);
-            prefix.pop();
+            if !at_node {
+                self.replay(depth);
+            }
+            at_node = false;
+            self.engine.grant_stepped(self.pool, c.pid);
+            self.prefix.push(c.pid);
+            self.walk(depth + 1, child_sleep);
+            self.prefix.pop();
             if self.sleep_sets {
                 sleep |= bit;
             }
         }
+    }
+
+    /// Returns the stepped trial to the node at `depth` by re-granting
+    /// the prefix from the root. It must land where the walk first saw
+    /// that node: a machine whose `reset` does not restore its initial
+    /// state would otherwise silently walk a different tree.
+    fn replay(&mut self, depth: usize) {
+        self.engine.begin_stepped(self.pool);
+        for &pid in &self.prefix {
+            self.engine.grant_stepped(self.pool, pid);
+        }
+        assert!(
+            self.engine.stepped_pending() == self.frames[depth].as_slice(),
+            "replayed prefix diverged at depth {depth}: the pending set differs from the \
+             first visit (does the machine's `reset` restore its initial state?)"
+        );
     }
 }
 
@@ -488,8 +483,11 @@ where
         truncated: false,
         visited: HashMap::new(),
         failing: None,
+        prefix: Vec::new(),
+        frames: Vec::new(),
     };
-    dfs.walk(&mut Vec::new(), 0);
+    dfs.engine.begin_stepped(dfs.pool);
+    dfs.walk(0, 0);
     let Dfs {
         mut check,
         executions,
@@ -580,8 +578,8 @@ where
                                 h.write_u8(1);
                                 out.fingerprint(&mut h, map);
                             }
-                            // Mid-flight (probe-aborted) machine: its
-                            // control state is the behavioral state.
+                            // Live machine: its control state is the
+                            // behavioral state.
                             _ => {
                                 h.write_u8(0);
                                 pool.machines()[i].fingerprint(&mut h, map);
@@ -973,6 +971,54 @@ mod tests {
         });
         let raw = report.minimized.expect("failure found");
         assert_eq!(raw.len(), report.max_depth, "unshrunk = full schedule");
+    }
+
+    /// Reads its register once or twice, alternating at every `reset`:
+    /// a machine whose `reset` does not restore one initial state.
+    struct Flaky {
+        reg: RegId,
+        long: bool,
+        reads: u8,
+    }
+
+    impl StepMachine for Flaky {
+        type Output = u64;
+        fn op(&self) -> ShmOp {
+            ShmOp::Read(self.reg)
+        }
+        fn advance(&mut self, _input: &Word) -> Poll<u64> {
+            self.reads += 1;
+            if self.reads > u8::from(self.long) {
+                Poll::Ready(0)
+            } else {
+                Poll::Pending
+            }
+        }
+        fn reset(&mut self, _pid: Pid) {
+            self.long = !self.long;
+            self.reads = 0;
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "replayed prefix diverged")]
+    fn replay_divergence_is_a_hard_failure() {
+        // The first trial runs both machines for two reads; the first
+        // replay (back to the node after p0's first read) runs them for
+        // one, so p0 has already finished where it should still be
+        // pending — without the check the walk would silently explore a
+        // tree that is not the program's.
+        let mut alloc = RegAlloc::new();
+        let bank = alloc.reserve(1);
+        let mut pool: MachinePool<Flaky> = (0..2)
+            .map(|_| Flaky {
+                reg: bank.get(0),
+                long: false,
+                reads: 0,
+            })
+            .collect();
+        let mut engine = StepEngine::reusable(alloc.total());
+        explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(1_000), |_| true);
     }
 
     #[test]

@@ -36,11 +36,13 @@ use exclusive_selection::sim::service::mega::{
 use exclusive_selection::sim::service::{
     Admission, Arrivals, ServiceConfig, ServiceHarness, ServiceWorld,
 };
-use exclusive_selection::sim::{AlgoSet, MachinePool, SetOutput, StepEngine};
+use exclusive_selection::sim::{
+    explore_pool_sleep, AlgoSet, MachinePool, ReduceConfig, SetOutput, StepEngine,
+};
 use exclusive_selection::{
     Majority, Pid, RegAlloc, RenameConfig, Snapshot, SnapshotRename, StepMachine, Word,
 };
-use exsel_core::SnapshotRenameOp;
+use exsel_core::{SlotBank, SnapshotRenameOp};
 use exsel_shm::snapshot::UpdateOp;
 use exsel_shm::SlabBank;
 use exsel_unbounded::{AltruisticDeposit, DepositOp, NamingMachine, UnboundedNaming};
@@ -141,6 +143,39 @@ fn steady_state_pooled_trials_allocate_nothing() {
 
     // Sanity: the trials actually ran and named everyone.
     assert_eq!(pool.completed().count(), k);
+}
+
+/// The exhaustive walk allocates per tree *depth*, not per tree node:
+/// it descends one live stepped trial and reuses one pending-set frame
+/// per depth, so a warm walk of all 73,608 interleavings of three
+/// Compete-For-Register contenders (221,008 tree nodes, depth 15)
+/// touches the allocator only for the walk's own depth-sized buffers:
+/// 21 allocations measured. A walk that copies each node's pending set
+/// into a fresh buffer makes one allocation per inner node instead:
+/// 147,403 measured.
+#[test]
+fn exhaustive_walk_allocates_per_depth_not_per_node() {
+    let mut alloc = RegAlloc::new();
+    let bank = SlotBank::new(&mut alloc, 1);
+    let mut pool: MachinePool<_> = (1..=3).map(|t| bank.begin_compete(0, t)).collect();
+    let mut engine = StepEngine::reusable(alloc.total());
+    let walk = |engine: &mut StepEngine, pool: &mut MachinePool<_>| {
+        explore_pool_sleep(engine, pool, &ReduceConfig::off(u64::MAX), |pool| {
+            pool.completed().filter(|(_, won)| **won).count() <= 1
+        })
+    };
+    walk(&mut engine, &mut pool);
+
+    let mut report = None;
+    let (allocs, _) = measured(|| report = Some(walk(&mut engine, &mut pool)));
+    let report = report.expect("walk ran");
+    assert_eq!(report.executions, 73_608);
+    assert!(report.complete && report.minimized.is_none());
+    assert!(
+        allocs <= 32,
+        "a warm exhaustive walk made {allocs} allocations; it must stay bounded by the tree depth ({})",
+        report.max_depth
+    );
 }
 
 #[test]
