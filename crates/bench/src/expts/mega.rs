@@ -9,7 +9,7 @@
 //! count ⇒ same trace — the SoA pool mirrors `MajorityOp` exactly and
 //! the slab bank is bit-identical to the Arc bank), so the delta is
 //! pure machinery: inline slab words vs one `Arc` per write, dense
-//! parallel vectors vs 56-byte machine structs. The slab arm is timed
+//! parallel vectors vs 64-byte machine structs. The slab arm is timed
 //! under the counting allocator ([`crate::alloc_probe`]) and must stay
 //! **allocation-free** in steady state; the row lands in
 //! `BENCH_engine.json` with a steps/sec headline and is re-checked (at

@@ -7,9 +7,18 @@
 //! registers are [`SlabEntry`]s — `Copy` payloads with the common small
 //! variants (`Null`/`Int`/`Pair`) inlined and snapshot records referenced
 //! by an `(index, generation)` handle into contiguous slab storage. A
-//! steady-state grant on an inline word is a plain 16-byte store with no
+//! steady-state grant on an inline word is a plain 24-byte store with no
 //! drop glue and no refcount traffic; only snapshot-bearing registers
-//! touch the slab.
+//! touch the slab. A `SlabEntry` is the same size as a `Word` (24 bytes:
+//! `Pair(u64, u64)` plus the tag), so the slab saves drop glue and
+//! refcounts, not register memory.
+//!
+//! Both banks keep one dirty bit per register, set by `write`. A
+//! per-trial [`RegisterBank::reset`] to an unchanged size nulls only the
+//! marked registers — O(registers written last trial), plus a scan of
+//! one bit per register — instead of rewriting the whole bank; a trial
+//! that touches a few percent of a large instance pays for those few
+//! percent.
 //!
 //! Handle lifecycle invariants (asserted in debug builds):
 //!
@@ -32,6 +41,41 @@ use crate::word::Word;
 
 /// Borrowed result of reading a never-written / nulled register.
 static NULL_WORD: Word = Word::Null;
+
+/// One bit per register, set by a bank's `write`: the registers written
+/// since the last reset. A bitmap rather than a list because a trial may
+/// re-write the same register any number of times (the altruistic
+/// deposit re-writes `Null` into its help cells) — the bitmap's size is
+/// bounded by the bank's and needs no allocation in steady state.
+#[derive(Debug, Default)]
+struct DirtyBits {
+    words: Vec<u64>,
+}
+
+impl DirtyBits {
+    /// Clears every mark and sizes the map for `num_registers`.
+    fn resize(&mut self, num_registers: usize) {
+        self.words.clear();
+        self.words.resize(num_registers.div_ceil(64), 0);
+    }
+
+    #[inline]
+    fn mark(&mut self, reg: usize) {
+        self.words[reg / 64] |= 1 << (reg % 64);
+    }
+
+    /// Calls `f` on every marked register in ascending order, clearing
+    /// the marks.
+    fn drain(&mut self, mut f: impl FnMut(usize)) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
 
 /// Storage interface of the step-machine engine's register bank.
 ///
@@ -85,6 +129,7 @@ pub trait RegisterBank {
 #[derive(Debug, Default)]
 pub struct ArcBank {
     words: Vec<Word>,
+    dirty: DirtyBits,
 }
 
 impl ArcBank {
@@ -104,8 +149,17 @@ impl ArcBank {
 
 impl RegisterBank for ArcBank {
     fn reset(&mut self, num_registers: usize) {
-        self.words.clear();
-        self.words.resize(num_registers, Word::Null);
+        if num_registers == self.words.len() {
+            // Only written registers can be non-null; nulling them in
+            // ascending order drops displaced words in the order a full
+            // clear would.
+            let words = &mut self.words;
+            self.dirty.drain(|reg| words[reg] = Word::Null);
+        } else {
+            self.words.clear();
+            self.words.resize(num_registers, Word::Null);
+            self.dirty.resize(num_registers);
+        }
     }
 
     fn len(&self) -> usize {
@@ -118,6 +172,7 @@ impl RegisterBank for ArcBank {
 
     fn write(&mut self, reg: RegId, word: Word) {
         self.words[reg.0] = word;
+        self.dirty.mark(reg.0);
     }
 
     fn load(&self, reg: RegId) -> Word {
@@ -126,8 +181,8 @@ impl RegisterBank for ArcBank {
 }
 
 /// One register of a [`SlabBank`]: the small [`Word`] variants inlined
-/// (16 bytes, `Copy`, no drop glue), snapshot records as generation-tagged
-/// handles into the bank's slot storage.
+/// (24 bytes like a `Word`, but `Copy`, no drop glue), snapshot records
+/// as generation-tagged handles into the bank's slot storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SlabEntry {
     /// The initial "empty" register contents.
@@ -159,6 +214,7 @@ struct SnapSlot {
 #[derive(Debug, Default)]
 pub struct SlabBank {
     entries: Vec<SlabEntry>,
+    dirty: DirtyBits,
     slots: Vec<SnapSlot>,
     /// Indices of free slots, reused LIFO.
     free: Vec<u32>,
@@ -270,8 +326,14 @@ impl SlabBank {
 
 impl RegisterBank for SlabBank {
     fn reset(&mut self, num_registers: usize) {
-        self.entries.clear();
-        self.entries.resize(num_registers, SlabEntry::Null);
+        if num_registers == self.entries.len() {
+            let entries = &mut self.entries;
+            self.dirty.drain(|reg| entries[reg] = SlabEntry::Null);
+        } else {
+            self.entries.clear();
+            self.entries.resize(num_registers, SlabEntry::Null);
+            self.dirty.resize(num_registers);
+        }
         // Free every slot (dropping parked records) and rebuild the free
         // list in slot order — deterministic, and capacity-preserving so
         // steady-state sweeps allocate nothing.
@@ -323,6 +385,7 @@ impl RegisterBank for SlabBank {
             }
         };
         self.entries[reg.0] = new;
+        self.dirty.mark(reg.0);
         match (old == SlabEntry::Null, new == SlabEntry::Null) {
             (true, false) => {
                 self.occupied += 1;
@@ -487,6 +550,83 @@ mod tests {
             slab.write(RegId(i), snap_word(10 + i as u64));
         }
         assert_eq!(slab.allocated_slots(), 3, "steady state must not grow");
+    }
+
+    #[test]
+    fn entries_are_word_sized() {
+        // `Pair(u64, u64)` plus the tag on both sides: the slab bank
+        // saves drop glue and refcounts, not register memory.
+        assert_eq!(std::mem::size_of::<Word>(), 24);
+        assert_eq!(std::mem::size_of::<SlabEntry>(), 24);
+    }
+
+    /// One trial's writes: `Int`, `Pair` and a `Snap`, then a `Null`
+    /// re-write of a written register (the help-cell pattern). Returns
+    /// the parked snapshot record.
+    fn mixed_trial(bank: &mut impl RegisterBank) -> Arc<SnapRecord> {
+        let snap = snap_word(3);
+        let rec = snap.as_snap().unwrap().clone();
+        bank.write(RegId(1), Word::Int(1));
+        bank.write(RegId(64), Word::Pair(2, 3));
+        bank.write(RegId(65), snap);
+        bank.write(RegId(1), Word::Null);
+        bank.write(RegId(99), Word::Int(4));
+        bank.write(RegId(99), Word::Null);
+        rec
+    }
+
+    /// Reset to an unchanged size nulls every register, drops the
+    /// displaced record and clears the marks; a size change resizes the
+    /// map along with the bank.
+    fn dirty_reset_restores_a_null_bank<B: RegisterBank + Default>(dirty: fn(&B) -> &[u64]) {
+        let mut bank = B::default();
+        bank.reset(100);
+        let rec = mixed_trial(&mut bank);
+        // Registers 1 | 64, 65, 99: marked even where nulled again.
+        assert_eq!(dirty(&bank), [1 << 1, 1 << (99 - 64) | 0b11]);
+        bank.reset(100);
+        assert_eq!(bank.len(), 100);
+        assert!((0..100).all(|r| bank.load(RegId(r)).is_null()));
+        assert_eq!(Arc::strong_count(&rec), 1, "displaced record dropped");
+        assert_eq!(dirty(&bank), [0, 0]);
+
+        // A size change takes the full path and resizes the map.
+        bank.write(RegId(7), Word::Int(7));
+        bank.reset(130);
+        assert_eq!(bank.len(), 130);
+        assert!((0..130).all(|r| bank.load(RegId(r)).is_null()));
+        assert_eq!(dirty(&bank), [0, 0, 0]);
+        bank.write(RegId(129), Word::Int(9));
+        bank.reset(130);
+        assert!(bank.load(RegId(129)).is_null());
+        bank.reset(5);
+        assert_eq!(bank.len(), 5);
+        assert_eq!(dirty(&bank), [0]);
+    }
+
+    #[test]
+    fn dirty_reset_restores_a_null_arc_bank() {
+        dirty_reset_restores_a_null_bank::<ArcBank>(|b| &b.dirty.words);
+    }
+
+    #[test]
+    fn dirty_reset_restores_a_null_slab_bank() {
+        dirty_reset_restores_a_null_bank::<SlabBank>(|b| &b.dirty.words);
+
+        // Slab bookkeeping after a dirty reset matches a full one: no
+        // live slot or entry, and the freed slot comes back first under
+        // a bumped generation.
+        let mut slab = SlabBank::new();
+        slab.reset(100);
+        mixed_trial(&mut slab);
+        assert_eq!(slab.live_entries(), 2);
+        assert_eq!(slab.live_slots(), 1);
+        slab.reset(100);
+        assert_eq!(slab.live_slots(), 0);
+        assert_eq!(slab.live_entries(), 0);
+        slab.write(RegId(0), snap_word(5));
+        assert_eq!(slab.entries[0], SlabEntry::Snap { slot: 0, gen: 1 });
+        assert_eq!(slab.allocated_slots(), 1);
     }
 
     #[test]

@@ -112,7 +112,10 @@ pub struct Metrics {
     /// collected when [`StepEngine::measure_contention`] is on (the scan
     /// costs one extra pass over the pending set per decision).
     pub max_contention: usize,
-    /// Operations granted per register, indexed by register id.
+    /// Operations granted per register, indexed by register id. Only
+    /// collected when [`StepEngine::measure_contention`] is on (one
+    /// counter per register of the instance, bumped at every grant);
+    /// empty otherwise.
     pub ops_per_register: Vec<u64>,
     /// Operations granted per shard of the last **sharded** trial
     /// ([`StepEngine::run_pool_sharded`]), indexed by shard. Empty for
@@ -139,6 +142,8 @@ pub struct Metrics {
 }
 
 impl Metrics {
+    /// Zeroes every counter; `num_registers` sizes
+    /// [`Metrics::ops_per_register`] (0 when contention is not measured).
     fn reset(&mut self, num_registers: usize) {
         self.trials = 0;
         self.total_ops = 0;
@@ -165,7 +170,9 @@ impl Metrics {
         self.snapshot.merge(stats);
     }
 
-    /// The register granted the most operations, with its count.
+    /// The register granted the most operations, with its count — `None`
+    /// when no operation was counted, which includes every trial run
+    /// without [`StepEngine::measure_contention`].
     #[must_use]
     pub fn hottest_register(&self) -> Option<(usize, u64)> {
         self.ops_per_register
@@ -382,9 +389,12 @@ impl<B: RegisterBank> StepEngine<B> {
         self
     }
 
-    /// Collects [`Metrics::max_contention`] (one extra pass over the
-    /// pending set per decision; off by default to keep the grant loop
-    /// lean).
+    /// Collects the contention metrics: [`Metrics::max_contention`] (one
+    /// extra pass over the pending set per decision),
+    /// [`Metrics::shard_contention`] and [`Metrics::ops_per_register`]
+    /// (one counter per register, cleared at every reset and bumped at
+    /// every grant). Off by default to keep the grant loop and the
+    /// per-trial reset lean.
     #[must_use]
     pub fn measure_contention(mut self, on: bool) -> Self {
         self.measure_contention = on;
@@ -459,14 +469,23 @@ impl<B: RegisterBank> StepEngine<B> {
 
     /// Re-initializes the engine's state in place for the next trial:
     /// registers to [`Word::Null`], trace and metrics cleared — **keeping
-    /// every buffer's capacity**. Called automatically at the start of
+    /// every buffer's capacity**. With the register count unchanged the
+    /// bank nulls only the registers written since the last reset, so
+    /// the reset costs O(registers written last trial), not O(registers);
+    /// a size change (see [`StepEngine::set_registers`]) rebuilds the
+    /// bank. Called automatically at the start of
     /// [`StepEngine::run_trial`]; public for callers that want to drop
     /// trial state eagerly.
     pub fn reset(&mut self) {
         self.regs.reset(self.num_registers);
         self.trace.clear();
         self.trace_moved = false;
-        self.metrics.reset(self.num_registers);
+        let counted = if self.measure_contention {
+            self.num_registers
+        } else {
+            0
+        };
+        self.metrics.reset(counted);
         #[cfg(feature = "check")]
         if let Some(c) = &mut self.checker {
             c.begin_trial();
@@ -848,8 +867,8 @@ impl<B: RegisterBank> StepEngine<B> {
         if self.measure_contention {
             let contention = self.pending.iter().filter(|p| p.reg == reg).count();
             self.metrics.max_contention = self.metrics.max_contention.max(contention);
+            self.metrics.ops_per_register[reg.0] += 1;
         }
-        self.metrics.ops_per_register[reg.0] += 1;
         if self.record_trace {
             self.trace.push(PendingOp {
                 pid,
@@ -1001,8 +1020,8 @@ impl<B: RegisterBank> StepEngine<B> {
                         self.metrics.max_contention = self.metrics.max_contention.max(contention);
                         self.metrics.shard_contention[cursor] =
                             self.metrics.shard_contention[cursor].max(contention);
+                        self.metrics.ops_per_register[reg.0] += 1;
                     }
-                    self.metrics.ops_per_register[reg.0] += 1;
                     self.metrics.shard_ops[cursor] += 1;
                     if self.record_trace {
                         self.trace.push(PendingOp {
@@ -1420,6 +1439,37 @@ mod tests {
     }
 
     #[test]
+    fn per_register_counts_are_collected_only_when_contention_is_measured() {
+        let mut alloc = RegAlloc::new();
+        let bank = alloc.reserve(1);
+        let mut engine = StepEngine::reusable(alloc.total());
+        let mut policy: Box<dyn Policy> = Box::new(RoundRobin::new());
+        engine.run_trial(policy.as_mut(), hammer_machines(bank, 3, 2));
+        assert_eq!(engine.metrics().total_ops, 12);
+        assert!(engine.metrics().ops_per_register.is_empty());
+        assert_eq!(engine.metrics().hottest_register(), None);
+
+        // The sharded loop: same schedule either way, counts only when
+        // measured, and then one per granted operation.
+        let mut alloc = RegAlloc::new();
+        let algo =
+            exsel_core::Majority::new(&mut alloc, 64, 16, &exsel_core::RenameConfig::default());
+        let mut pool: MachinePool<_> = (0..16u64).map(|i| algo.begin_walk(4 * i + 1)).collect();
+        let mut lean = StepEngine::reusable(alloc.total());
+        let mut measured = StepEngine::reusable(alloc.total()).measure_contention(true);
+        lean.run_pool_sharded(&mut RandomPolicy::new(5), &mut pool, 4);
+        let lean_steps = pool.steps().to_vec();
+        measured.run_pool_sharded(&mut RandomPolicy::new(5), &mut pool, 4);
+        assert_eq!(lean_steps, pool.steps());
+        assert!(lean.metrics().ops_per_register.is_empty());
+        assert_eq!(lean.metrics().hottest_register(), None);
+        let counts = &measured.metrics().ops_per_register;
+        assert_eq!(counts.len(), alloc.total());
+        assert_eq!(counts.iter().sum::<u64>(), lean.metrics().total_ops);
+        assert!(measured.metrics().hottest_register().is_some());
+    }
+
+    #[test]
     fn set_registers_resizes_the_bank_between_trials() {
         let mut engine = StepEngine::reusable(1);
         struct Touch(RegId);
@@ -1478,8 +1528,10 @@ mod tests {
         M: StepMachine,
         M::Output: Clone + PartialEq + std::fmt::Debug,
     {
-        let mut stepped = StepEngine::reusable(regs);
-        let mut scripted = StepEngine::reusable(regs).record_trace(true);
+        let mut stepped = StepEngine::reusable(regs).measure_contention(true);
+        let mut scripted = StepEngine::reusable(regs)
+            .measure_contention(true)
+            .record_trace(true);
         for seed in 0..20u64 {
             scripted.run_pool(&mut RandomPolicy::new(seed), pool);
             let schedule: Vec<Pid> = scripted

@@ -10,7 +10,7 @@
 //! walk positions and slot numbers in parallel vectors instead of an
 //! array of enum-bearing structs. At n ≈ 10⁶ this keeps the grant
 //! loop's per-machine state in a handful of dense, prefetchable
-//! vectors (5 + 8 + 4 + 4 + 1 bytes per process) instead of 56-byte
+//! vectors (5 + 8 + 4 + 4 + 1 bytes per process) instead of 64-byte
 //! `MajorityOp` structs, and re-arming a trial is five `fill`-style
 //! sweeps.
 //!

@@ -9,12 +9,12 @@
 use exclusive_selection::sim::policy::{
     Bursty, CrashAfter, CrashStorm, Policy, RandomPolicy, RoundRobin,
 };
-use exclusive_selection::sim::{AlgoSet, MachinePool, MachineSet, Metrics, SetOutput, StepEngine};
+use exclusive_selection::sim::{AlgoSet, MachinePool, MachineSet, SetOutput, StepEngine};
 use exclusive_selection::{
     AdaptiveRename, AlmostAdaptive, BasicRename, Crash, EfficientRename, Majority, MoirAnderson,
     Pid, PolyLogRename, RegAlloc, RegId, RenameConfig, SnapshotRename, StepMachine, StoreCollect,
 };
-use exsel_shm::SlabBank;
+use exsel_shm::{ArcBank, RegisterBank, SlabBank};
 use exsel_unbounded::{AltruisticDeposit, UnboundedNaming};
 use proptest::prelude::*;
 
@@ -167,43 +167,78 @@ fn pooled_trials_are_trace_identical_to_fresh_boxed_machines() {
     }
 }
 
+/// Runs eight crash-storm trials of `algo` on one reused engine + pool
+/// over the bank `B`, each against a fresh engine running freshly boxed
+/// machines on the same seed: metrics, trace, results, steps and every
+/// final register must agree. From its second trial on, the reused
+/// engine's reset nulls only the registers the previous trial wrote; a
+/// missed register would leak into the next trial.
+fn reused_matches_fresh<B: RegisterBank + Default>(
+    label: &str,
+    regs: usize,
+    originals: &[u64],
+    algo: &AlgoSet,
+) {
+    let engine = || {
+        StepEngine::reusable_with(regs, B::default())
+            .record_trace(true)
+            .measure_contention(true)
+            .panic_on_budget(false)
+    };
+    let policy = |seed: u64| CrashStorm::new(Box::new(RandomPolicy::new(seed)), !seed, 0.04, 3);
+    let mut reused = engine();
+    let mut pool = algo.pool(originals);
+    for seed in 0..8u64 {
+        reused.run_pool(&mut policy(seed), &mut pool);
+        let mut fresh = engine();
+        let outcome = fresh.run_trial(&mut policy(seed), boxed_machines(algo, originals));
+
+        let tag = format!("{label} seed {seed}");
+        assert_eq!(
+            reused.metrics(),
+            fresh.metrics(),
+            "{tag}: metrics diverged under reuse"
+        );
+        assert_eq!(
+            reused.metrics().ops_per_register.len(),
+            regs,
+            "{tag}: histogram width"
+        );
+        assert_eq!(outcome.trace.as_deref(), reused.trace(), "{tag}: traces");
+        assert_eq!(outcome.steps, pool.steps(), "{tag}: steps");
+        let pooled_results: Vec<Result<SetOutput, Crash>> = pool
+            .results()
+            .iter()
+            .map(|r| r.clone().expect("result recorded"))
+            .collect();
+        assert_eq!(outcome.results, pooled_results, "{tag}: results");
+        for r in 0..regs {
+            assert_eq!(
+                reused.load_register(RegId(r)),
+                fresh.load_register(RegId(r)),
+                "{tag}: register {r}"
+            );
+        }
+    }
+}
+
 #[test]
 fn metrics_under_engine_and_pool_reuse_match_fresh_runs_bit_for_bit() {
-    // `ops_per_register`, `max_contention` and the crash-cause counters
-    // of a reused engine + pool must equal a fresh engine + fresh boxed
-    // machines on every trial.
+    // `ops_per_register`, `max_contention`, the crash-cause counters and
+    // the final bank of a reused engine + pool must equal a fresh engine
+    // + fresh boxed machines on every trial: majority on the Arc bank,
+    // and on both banks the families that park snapshot records and
+    // re-write `Null` into help cells.
     let cfg = RenameConfig::default();
     let mut alloc = RegAlloc::new();
     let algo = AlgoSet::Majority(Majority::new(&mut alloc, 128, 6, &cfg));
     let originals: Vec<u64> = (0..6u64).map(|i| i * 19 + 1).collect();
-    let regs = alloc.total();
-
-    let mut reused = StepEngine::reusable(regs)
-        .measure_contention(true)
-        .panic_on_budget(false);
-    let mut pool = algo.pool(&originals);
-
-    for seed in 0..8u64 {
-        let mut policy = CrashStorm::new(Box::new(RandomPolicy::new(seed)), !seed, 0.04, 3);
-        reused.run_pool(&mut policy, &mut pool);
-        let reused_metrics: Metrics = reused.metrics().clone();
-
-        let mut fresh = StepEngine::reusable(regs)
-            .measure_contention(true)
-            .panic_on_budget(false);
-        let mut policy = CrashStorm::new(Box::new(RandomPolicy::new(seed)), !seed, 0.04, 3);
-        fresh.run_trial(&mut policy, boxed_machines(&algo, &originals));
-
-        assert_eq!(
-            &reused_metrics,
-            fresh.metrics(),
-            "seed {seed}: metrics diverged under reuse"
-        );
-        assert_eq!(
-            reused_metrics.ops_per_register.len(),
-            regs,
-            "seed {seed}: histogram width"
-        );
+    reused_matches_fresh::<ArcBank>("majority", alloc.total(), &originals, &algo);
+    for (label, regs, originals, algo) in families(&cfg) {
+        if matches!(label, "naming" | "deposit" | "deposit-serve") {
+            reused_matches_fresh::<ArcBank>(label, regs, &originals, &algo);
+            reused_matches_fresh::<SlabBank>(label, regs, &originals, &algo);
+        }
     }
 }
 
