@@ -490,7 +490,11 @@ mod tests {
                 .collect();
             let report =
                 run_machines_against_pooled(&mut engine, &mut pool, alloc.total(), k, m, r);
-            let bank: Vec<exsel_shm::Word> = engine.registers().to_vec();
+            // The logical bank, not the materialized prefix: the two
+            // runs' prefixes need not end at the same register.
+            let bank: Vec<exsel_shm::Word> = (0..alloc.total())
+                .map(|r| engine.load_register(exsel_shm::RegId(r)))
+                .collect();
             (report, bank)
         };
         let (on, bank_on) = run(true);

@@ -13,12 +13,22 @@
 //! `Pair(u64, u64)` plus the tag), so the slab saves drop glue and
 //! refcounts, not register memory.
 //!
-//! Both banks keep one dirty bit per register, set by `write`. A
-//! per-trial [`RegisterBank::reset`] to an unchanged size nulls only the
-//! marked registers — O(registers written last trial), plus a scan of
-//! one bit per register — instead of rewriting the whole bank; a trial
-//! that touches a few percent of a large instance pays for those few
-//! percent.
+//! Both banks pay only for the registers a run touches, in time and in
+//! memory:
+//!
+//! * **Materialize on first write.** Sizing a bank to `n` registers
+//!   reserves capacity for all `n` but writes none of them. The bank
+//!   materializes the prefix up to the highest register written since
+//!   it was sized; a write past the prefix extends it with nulls inside
+//!   the reserved capacity (never reallocating), and every register
+//!   past it reads as null. The adaptive objects — store&collect's
+//!   O(n²) registers, the deposit arena — touch a contention-sized
+//!   prefix, so the untouched reserved pages are never faulted in.
+//! * **Dirty reset.** One dirty bit per register, set by `write`. A
+//!   per-trial [`RegisterBank::reset`] to an unchanged size nulls only
+//!   the marked registers — O(registers written last trial), plus a
+//!   scan of one bit per materialized register — instead of rewriting
+//!   the whole bank.
 //!
 //! Handle lifecycle invariants (asserted in debug builds):
 //!
@@ -42,38 +52,91 @@ use crate::word::Word;
 /// Borrowed result of reading a never-written / nulled register.
 static NULL_WORD: Word = Word::Null;
 
-/// One bit per register, set by a bank's `write`: the registers written
-/// since the last reset. A bitmap rather than a list because a trial may
-/// re-write the same register any number of times (the altruistic
-/// deposit re-writes `Null` into its help cells) — the bitmap's size is
-/// bounded by the bank's and needs no allocation in steady state.
+/// A bank's register cells, materialized on first write. A
+/// size-changing [`Cells::reset`] sets the logical size and reserves
+/// capacity for every register but writes none of them: `cells` holds
+/// only the prefix up to the highest register written since, and every
+/// register past it reads as null. A write past the prefix extends it
+/// with nulls inside the reserved capacity, so it never reallocates,
+/// and the reserved pages past the prefix are never touched.
+///
+/// One dirty bit per register marks the cells written since the last
+/// reset. A bitmap rather than a list because a trial may re-write the
+/// same register any number of times (the altruistic deposit re-writes
+/// `Null` into its help cells) — the bitmap's size is bounded by the
+/// bank's and needs no allocation in steady state.
 #[derive(Debug, Default)]
-struct DirtyBits {
-    words: Vec<u64>,
+struct Cells<T> {
+    /// The materialized prefix; `T::default()` is the null register.
+    cells: Vec<T>,
+    /// Logical number of registers.
+    len: usize,
+    /// One bit per register, set by [`Cells::write`].
+    dirty: Vec<u64>,
 }
 
-impl DirtyBits {
-    /// Clears every mark and sizes the map for `num_registers`.
-    fn resize(&mut self, num_registers: usize) {
-        self.words.clear();
-        self.words.resize(num_registers.div_ceil(64), 0);
-    }
-
-    #[inline]
-    fn mark(&mut self, reg: usize) {
-        self.words[reg / 64] |= 1 << (reg % 64);
-    }
-
-    /// Calls `f` on every marked register in ascending order, clearing
-    /// the marks.
-    fn drain(&mut self, mut f: impl FnMut(usize)) {
-        for (w, word) in self.words.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                f(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
+impl<T: Default> Cells<T> {
+    /// Re-initializes to `len` null registers. An unchanged size nulls
+    /// only the marked registers, in ascending order, keeping the
+    /// prefix; a size change drops the prefix and reserves room for
+    /// all `len` registers without writing any.
+    fn reset(&mut self, len: usize) {
+        if len == self.len {
+            // Marks lie inside the prefix: only a write sets one.
+            let words = self.cells.len().div_ceil(64);
+            for (w, word) in self.dirty[..words].iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    self.cells[w * 64 + bits.trailing_zeros() as usize] = T::default();
+                    bits &= bits - 1;
+                }
             }
+        } else {
+            self.cells.clear();
+            self.cells.reserve_exact(len);
+            self.len = len;
+            self.dirty.clear();
+            self.dirty.resize(len.div_ceil(64), 0);
         }
+    }
+
+    /// The materialized cell of `reg`, `None` past the prefix (a null
+    /// register).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reg` is out of range.
+    #[inline]
+    fn get(&self, reg: usize) -> Option<&T> {
+        let cell = self.cells.get(reg);
+        if cell.is_none() {
+            self.check(reg);
+        }
+        cell
+    }
+
+    /// The cell of `reg`, materialized and marked dirty, for the caller
+    /// to overwrite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reg` is out of range.
+    #[inline]
+    fn write(&mut self, reg: usize) -> &mut T {
+        if reg >= self.cells.len() {
+            self.check(reg);
+            self.cells.resize_with(reg + 1, T::default);
+        }
+        self.dirty[reg / 64] |= 1 << (reg % 64);
+        &mut self.cells[reg]
+    }
+
+    fn check(&self, reg: usize) {
+        assert!(
+            reg < self.len,
+            "register {reg} out of range ({} registers)",
+            self.len
+        );
     }
 }
 
@@ -128,8 +191,7 @@ pub trait RegisterBank {
 /// [`SlabBank`].
 #[derive(Debug, Default)]
 pub struct ArcBank {
-    words: Vec<Word>,
-    dirty: DirtyBits,
+    words: Cells<Word>,
 }
 
 impl ArcBank {
@@ -139,53 +201,48 @@ impl ArcBank {
         ArcBank::default()
     }
 
-    /// The register words as a slice, indexed by [`RegId`] — the
-    /// post-trial inspection path occupancy audits use.
+    /// The materialized register words as a slice, indexed by
+    /// [`RegId`] — the post-trial inspection path occupancy audits use.
+    /// The slice ends at the highest register written since the bank
+    /// was last sized; every register past its end is null.
     #[must_use]
     pub fn words(&self) -> &[Word] {
-        &self.words
+        &self.words.cells
     }
 }
 
 impl RegisterBank for ArcBank {
     fn reset(&mut self, num_registers: usize) {
-        if num_registers == self.words.len() {
-            // Only written registers can be non-null; nulling them in
-            // ascending order drops displaced words in the order a full
-            // clear would.
-            let words = &mut self.words;
-            self.dirty.drain(|reg| words[reg] = Word::Null);
-        } else {
-            self.words.clear();
-            self.words.resize(num_registers, Word::Null);
-            self.dirty.resize(num_registers);
-        }
+        // Only written registers can be non-null; nulling them in
+        // ascending order drops displaced words in the order a full
+        // clear would.
+        self.words.reset(num_registers);
     }
 
     fn len(&self) -> usize {
-        self.words.len()
+        self.words.len
     }
 
     fn read(&mut self, reg: RegId) -> &Word {
-        &self.words[reg.0]
+        self.words.get(reg.0).unwrap_or(&NULL_WORD)
     }
 
     fn write(&mut self, reg: RegId, word: Word) {
-        self.words[reg.0] = word;
-        self.dirty.mark(reg.0);
+        *self.words.write(reg.0) = word;
     }
 
     fn load(&self, reg: RegId) -> Word {
-        self.words[reg.0].clone()
+        self.words.get(reg.0).cloned().unwrap_or_default()
     }
 }
 
 /// One register of a [`SlabBank`]: the small [`Word`] variants inlined
 /// (24 bytes like a `Word`, but `Copy`, no drop glue), snapshot records
 /// as generation-tagged handles into the bank's slot storage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum SlabEntry {
     /// The initial "empty" register contents.
+    #[default]
     Null,
     /// Inlined [`Word::Int`].
     Int(u64),
@@ -213,8 +270,7 @@ struct SnapSlot {
 /// into slab slots. See the module docs for the lifecycle invariants.
 #[derive(Debug, Default)]
 pub struct SlabBank {
-    entries: Vec<SlabEntry>,
-    dirty: DirtyBits,
+    entries: Cells<SlabEntry>,
     slots: Vec<SnapSlot>,
     /// Indices of free slots, reused LIFO.
     free: Vec<u32>,
@@ -276,6 +332,15 @@ impl SlabBank {
         self.peak_occupied
     }
 
+    /// Registers materialized since the bank was last sized: the prefix
+    /// up to the highest register written (see the module docs). The
+    /// bank's register memory is this many entries, not
+    /// [`RegisterBank::len`].
+    #[must_use]
+    pub fn materialized(&self) -> usize {
+        self.entries.cells.len()
+    }
+
     /// Pre-seeds the slab's snapshot-slot storage so at least
     /// `snap_slots` slots exist (live or free). Slots otherwise grow
     /// lazily on the first `Snap` write each; a harness that promises a
@@ -293,6 +358,11 @@ impl SlabBank {
             });
             self.free.push(slot);
         }
+    }
+
+    /// The entry of `reg`; null past the materialized prefix.
+    fn entry(&self, reg: RegId) -> SlabEntry {
+        self.entries.get(reg.0).copied().unwrap_or_default()
     }
 
     /// Parks `word` in a slot and returns its handle.
@@ -326,14 +396,7 @@ impl SlabBank {
 
 impl RegisterBank for SlabBank {
     fn reset(&mut self, num_registers: usize) {
-        if num_registers == self.entries.len() {
-            let entries = &mut self.entries;
-            self.dirty.drain(|reg| entries[reg] = SlabEntry::Null);
-        } else {
-            self.entries.clear();
-            self.entries.resize(num_registers, SlabEntry::Null);
-            self.dirty.resize(num_registers);
-        }
+        self.entries.reset(num_registers);
         // Free every slot (dropping parked records) and rebuild the free
         // list in slot order — deterministic, and capacity-preserving so
         // steady-state sweeps allocate nothing.
@@ -351,11 +414,11 @@ impl RegisterBank for SlabBank {
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.len
     }
 
     fn read(&mut self, reg: RegId) -> &Word {
-        match self.entries[reg.0] {
+        match self.entry(reg) {
             SlabEntry::Null => &NULL_WORD,
             SlabEntry::Int(v) => {
                 self.scratch = Word::Int(v);
@@ -374,7 +437,7 @@ impl RegisterBank for SlabBank {
     }
 
     fn write(&mut self, reg: RegId, word: Word) {
-        let old = self.entries[reg.0];
+        let old = self.entry(reg);
         let new = match word {
             Word::Null => SlabEntry::Null,
             Word::Int(v) => SlabEntry::Int(v),
@@ -384,8 +447,7 @@ impl RegisterBank for SlabBank {
                 SlabEntry::Snap { slot, gen }
             }
         };
-        self.entries[reg.0] = new;
-        self.dirty.mark(reg.0);
+        *self.entries.write(reg.0) = new;
         match (old == SlabEntry::Null, new == SlabEntry::Null) {
             (true, false) => {
                 self.occupied += 1;
@@ -403,7 +465,7 @@ impl RegisterBank for SlabBank {
     }
 
     fn load(&self, reg: RegId) -> Word {
-        match self.entries[reg.0] {
+        match self.entry(reg) {
             SlabEntry::Null => Word::Null,
             SlabEntry::Int(v) => Word::Int(v),
             SlabEntry::Pair(a, b) => Word::Pair(a, b),
@@ -606,12 +668,12 @@ mod tests {
 
     #[test]
     fn dirty_reset_restores_a_null_arc_bank() {
-        dirty_reset_restores_a_null_bank::<ArcBank>(|b| &b.dirty.words);
+        dirty_reset_restores_a_null_bank::<ArcBank>(|b| &b.words.dirty);
     }
 
     #[test]
     fn dirty_reset_restores_a_null_slab_bank() {
-        dirty_reset_restores_a_null_bank::<SlabBank>(|b| &b.dirty.words);
+        dirty_reset_restores_a_null_bank::<SlabBank>(|b| &b.entries.dirty);
 
         // Slab bookkeeping after a dirty reset matches a full one: no
         // live slot or entry, and the freed slot comes back first under
@@ -625,8 +687,122 @@ mod tests {
         assert_eq!(slab.live_slots(), 0);
         assert_eq!(slab.live_entries(), 0);
         slab.write(RegId(0), snap_word(5));
-        assert_eq!(slab.entries[0], SlabEntry::Snap { slot: 0, gen: 1 });
+        assert_eq!(slab.entries.cells[0], SlabEntry::Snap { slot: 0, gen: 1 });
         assert_eq!(slab.allocated_slots(), 1);
+    }
+
+    /// A bank's materialized cells: (prefix length, buffer address,
+    /// capacity).
+    fn arc_cells(b: &ArcBank) -> (usize, *const Word, usize) {
+        let c = &b.words.cells;
+        (c.len(), c.as_ptr(), c.capacity())
+    }
+
+    fn slab_cells(b: &SlabBank) -> (usize, *const SlabEntry, usize) {
+        let c = &b.entries.cells;
+        (c.len(), c.as_ptr(), c.capacity())
+    }
+
+    /// Sizing reserves every register but materializes none; writes
+    /// grow the prefix in place; registers past it read as null; a
+    /// same-size reset keeps the prefix and nulls it, a size change
+    /// drops it.
+    fn registers_materialize_on_first_write<B: RegisterBank + Default, T>(
+        cells: fn(&B) -> (usize, *const T, usize),
+    ) {
+        let mut bank = B::default();
+        bank.reset(1000);
+        let (prefix, ptr, cap) = cells(&bank);
+        assert_eq!(prefix, 0, "a fresh reset materializes nothing");
+        assert!(cap >= 1000, "capacity reserved for every register");
+        assert_eq!(bank.len(), 1000);
+        assert!(bank.read(RegId(999)).is_null());
+        assert!(bank.load(RegId(500)).is_null());
+
+        bank.write(RegId(3), Word::Int(3));
+        assert_eq!(cells(&bank).0, 4);
+        // Far past the prefix: the gap fills with nulls, in place.
+        bank.write(RegId(900), Word::Pair(9, 0));
+        assert_eq!(
+            cells(&bank),
+            (901, ptr, cap),
+            "prefix grew without reallocating"
+        );
+        assert_eq!(bank.load(RegId(3)), Word::Int(3));
+        assert!((4..900).all(|r| bank.load(RegId(r)).is_null()));
+        assert_eq!(*bank.read(RegId(900)), Word::Pair(9, 0));
+        assert!(bank.read(RegId(901)).is_null());
+        assert!(bank.load(RegId(999)).is_null());
+
+        bank.reset(1000);
+        assert_eq!(
+            cells(&bank),
+            (901, ptr, cap),
+            "same-size reset keeps the prefix"
+        );
+        assert!((0..1000).all(|r| bank.load(RegId(r)).is_null()));
+
+        bank.reset(2000);
+        let (prefix, _, cap) = cells(&bank);
+        assert_eq!(prefix, 0, "a size change drops the prefix");
+        assert!(cap >= 2000);
+        assert_eq!(bank.len(), 2000);
+        assert!(bank.load(RegId(1999)).is_null());
+    }
+
+    #[test]
+    fn arc_bank_materializes_on_first_write() {
+        registers_materialize_on_first_write(arc_cells);
+    }
+
+    #[test]
+    fn slab_bank_materializes_on_first_write() {
+        registers_materialize_on_first_write(slab_cells);
+    }
+
+    /// A bank of 8 registers with register 2 materialized: index 8 is
+    /// past both the prefix and the logical size.
+    fn sized<B: RegisterBank + Default>() -> B {
+        let mut bank = B::default();
+        bank.reset(8);
+        bank.write(RegId(2), Word::Int(1));
+        bank
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn arc_read_past_the_size_panics() {
+        sized::<ArcBank>().read(RegId(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn arc_load_past_the_size_panics() {
+        sized::<ArcBank>().load(RegId(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn arc_write_past_the_size_panics() {
+        sized::<ArcBank>().write(RegId(8), Word::Int(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn slab_read_past_the_size_panics() {
+        sized::<SlabBank>().read(RegId(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn slab_load_past_the_size_panics() {
+        sized::<SlabBank>().load(RegId(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn slab_write_past_the_size_panics() {
+        sized::<SlabBank>().write(RegId(8), snap_word(1));
     }
 
     #[test]

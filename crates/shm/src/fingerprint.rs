@@ -232,12 +232,19 @@ impl Fingerprint for SnapRecord {
     }
 }
 
-/// Banks hash their length plus every register word in index order.
+/// Banks hash their logical contents: the length plus every register
+/// word in index order, the registers past the materialized prefix as
+/// `Null` — so the digest is independent of how far a bank has
+/// materialized.
 impl Fingerprint for ArcBank {
     fn fingerprint(&self, hasher: &mut StateHasher, map: &TokenMap) {
         hasher.write_usize(self.len());
-        for w in self.words() {
+        let words = self.words();
+        for w in words {
             w.fingerprint(hasher, map);
+        }
+        for _ in words.len()..self.len() {
+            Word::Null.fingerprint(hasher, map);
         }
     }
 }
@@ -368,6 +375,36 @@ mod tests {
         let da = digest(|h, m| arc.fingerprint(h, m), &id);
         let ds = digest(|h, m| slab.fingerprint(h, m), &id);
         assert_eq!(da, ds, "backends must agree on the state digest");
+    }
+
+    #[test]
+    fn bank_digests_ignore_the_materialized_prefix() {
+        // Same logical contents, different prefixes: one bank also
+        // wrote `Null` into a high register, materializing up to it.
+        let id = TokenMap::identity();
+        let mut short = ArcBank::new();
+        let mut long = ArcBank::new();
+        let mut slab_short = SlabBank::new();
+        let mut slab_long = SlabBank::new();
+        short.reset(200);
+        long.reset(200);
+        slab_short.reset(200);
+        slab_long.reset(200);
+        short.write(RegId(2), Word::Int(4));
+        long.write(RegId(2), Word::Int(4));
+        slab_short.write(RegId(2), Word::Int(4));
+        slab_long.write(RegId(2), Word::Int(4));
+        long.write(RegId(150), Word::Null);
+        slab_long.write(RegId(150), Word::Null);
+        assert_eq!(short.words().len(), 3);
+        assert_eq!(long.words().len(), 151);
+        let d = digest(|h, m| short.fingerprint(h, m), &id);
+        assert_eq!(d, digest(|h, m| long.fingerprint(h, m), &id));
+        assert_eq!(d, digest(|h, m| slab_short.fingerprint(h, m), &id));
+        assert_eq!(d, digest(|h, m| slab_long.fingerprint(h, m), &id));
+        // A different value in the tail still changes the digest.
+        long.write(RegId(150), Word::Int(0));
+        assert_ne!(d, digest(|h, m| long.fingerprint(h, m), &id));
     }
 
     #[test]

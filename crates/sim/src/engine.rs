@@ -315,8 +315,10 @@ impl StepEngine {
     /// [`exsel_shm::RegId`] — the post-trial inspection path for
     /// occupancy audits (e.g. repository waste counting), which on the
     /// thread-backed runner would read through a `Memory` handle. The
-    /// next trial's [`StepEngine::reset`] re-nulls it. For bank-generic
-    /// inspection use [`StepEngine::load_register`] instead.
+    /// slice is the bank's materialized prefix ([`ArcBank::words`]):
+    /// every register past its end is null. The next trial's
+    /// [`StepEngine::reset`] re-nulls it. For bank-generic inspection
+    /// use [`StepEngine::load_register`] instead.
     #[must_use]
     pub fn registers(&self) -> &[Word] {
         self.regs.words()

@@ -15,6 +15,13 @@
 //! sums to the global roll-up, and windows and quantiles are
 //! fleet-wide, not per-shard fragments.
 //!
+//! A shard's register file costs memory only for the registers the
+//! shard writes: [`SlabBank`] materializes on first write, and the
+//! adaptive objects (store&collect, the deposit arena) touch a
+//! contention-sized prefix of their registers, so a fleet of lightly
+//! loaded shards with large arenas holds a small fraction of its
+//! logical register count.
+//!
 //! # Clock and scheduling
 //!
 //! Execution is **shard-major**: [`MegaServiceHarness::run_until`]
@@ -569,6 +576,34 @@ mod tests {
         assert_eq!(a.report.windows, b.report.windows);
         assert_eq!(a.report.names, b.report.names);
         assert_eq!(a.shard_totals, b.shard_totals);
+    }
+
+    #[test]
+    fn shard_banks_materialize_only_the_touched_prefix() {
+        // The adaptive objects touch a contention-sized prefix of each
+        // shard's registers; a bank that nulls every register when it
+        // is sized (the eager fill) would fail this.
+        let cfg = MegaServiceConfig {
+            base: ServiceConfig {
+                arena_capacity: 1 << 13,
+                arrivals: Arrivals::Poisson { mean_gap: 200.0 },
+                ..base_cfg(5, 400, 0.0)
+            },
+            shards: 4,
+        };
+        let world = MegaServiceWorld::new(&cfg);
+        let mut mega = MegaServiceHarness::new(&world, &cfg);
+        mega.run_until(u64::MAX);
+        assert_eq!(mega.completed(), 400);
+        for (s, shard) in mega.shards.iter().enumerate() {
+            let (touched, len) = (shard.bank.materialized(), shard.bank.len());
+            assert!(len > 1 << 13, "shard {s}: {len} registers");
+            assert!(touched > 0, "shard {s} wrote nothing");
+            assert!(
+                touched < len / 4,
+                "shard {s} materialized {touched} of {len} registers"
+            );
+        }
     }
 
     #[test]

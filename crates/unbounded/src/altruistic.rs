@@ -176,9 +176,14 @@ impl AltruisticDeposit {
     /// [`AltruisticDeposit::help_occupancy`] over a raw register bank —
     /// the post-trial inspection path for `StepEngine` executions
     /// (`StepEngine::registers`), which have no `Memory` handle.
+    /// `regs` may be a materialized prefix: registers past its end are
+    /// null and read as `None`.
     #[must_use]
     pub fn help_occupancy_in(&self, regs: &[Word]) -> Vec<Option<u64>> {
-        self.help.iter().map(|reg| regs[reg.0].as_int()).collect()
+        self.help
+            .iter()
+            .map(|reg| regs.get(reg.0).and_then(Word::as_int))
+            .collect()
     }
 
     /// The next operation of the row-service activity (pure).

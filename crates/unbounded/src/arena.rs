@@ -88,9 +88,14 @@ impl DepositArena {
     /// [`DepositArena::occupancy`] over a raw register bank — the
     /// post-trial inspection path for `StepEngine` executions
     /// (`StepEngine::registers`), which have no [`Memory`] handle.
+    /// `regs` may be a materialized prefix: registers past its end are
+    /// null and read as `None`.
     #[must_use]
     pub fn occupancy_in(&self, regs: &[Word]) -> Vec<Option<u64>> {
-        self.regs.iter().map(|reg| regs[reg.0].as_int()).collect()
+        self.regs
+            .iter()
+            .map(|reg| regs.get(reg.0).and_then(Word::as_int))
+            .collect()
     }
 }
 
@@ -132,6 +137,24 @@ mod tests {
         let ctx = Ctx::new(&mem, Pid(0));
         arena.write(ctx, 2, 7).unwrap();
         assert_eq!(arena.occupancy(&mem, Pid(0)), vec![None, Some(7), None]);
+    }
+
+    #[test]
+    fn occupancy_in_reads_past_the_materialized_prefix_as_empty() {
+        use exsel_shm::{ArcBank, RegisterBank};
+        let mut alloc = RegAlloc::new();
+        let _other = alloc.reserve(5);
+        let arena = DepositArena::new(&mut alloc, 4);
+        let mut bank = ArcBank::new();
+        bank.reset(alloc.total());
+        assert!(bank.words().is_empty());
+        assert_eq!(arena.occupancy_in(bank.words()), vec![None; 4]);
+        // Materialized up to R_2 only: R_3 and R_4 lie past the prefix.
+        bank.write(arena.reg(2), Word::Int(9));
+        assert_eq!(
+            arena.occupancy_in(bank.words()),
+            vec![None, Some(9), None, None]
+        );
     }
 
     #[test]

@@ -44,7 +44,7 @@ use exclusive_selection::{
 };
 use exsel_core::{SlotBank, SnapshotRenameOp};
 use exsel_shm::snapshot::UpdateOp;
-use exsel_shm::SlabBank;
+use exsel_shm::{RegId, SlabBank};
 use exsel_unbounded::{AltruisticDeposit, DepositOp, NamingMachine, UnboundedNaming};
 
 thread_local! {
@@ -467,8 +467,8 @@ fn snapshot_compaction_smoke_n128() {
     // Sanity: every writer's component carries its value and a full
     // embedded view.
     assert_eq!(pool.completed().count(), N);
-    let regs = engine.registers();
-    for (slot, word) in regs.iter().take(N).enumerate() {
+    for slot in 0..N {
+        let word = engine.load_register(RegId(slot));
         let rec = word.as_snap().expect("component installed");
         assert_eq!(rec.value, Word::Int(slot as u64 + 1));
         assert_eq!(rec.view.len(), N);
