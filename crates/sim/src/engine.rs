@@ -236,6 +236,23 @@ enum CrashKind {
     Budget,
 }
 
+/// One grant of a stepped trial, kept in the engine's undo log so
+/// [`StepEngine::unwind_stepped`] can take it back without replaying
+/// the schedule from the root.
+struct GrantRecord {
+    pid: Pid,
+    kind: OpKind,
+    reg: exsel_shm::RegId,
+    /// The register's word before the grant: the word a read handed the
+    /// machine (re-fed on unwind), or the word a write displaced
+    /// (restored on unwind).
+    word: Word,
+    /// [`Metrics::max_steps`] and [`Metrics::max_contention`] before
+    /// the grant: maxima cannot be recomputed by subtraction.
+    max_steps: u64,
+    max_contention: usize,
+}
+
 /// Builder/driver for engine executions; see the module docs.
 ///
 /// Generic over the register-bank storage `B` — [`ArcBank`] (the
@@ -274,6 +291,12 @@ pub struct StepEngine<B: RegisterBank = ArcBank> {
     crashed: Vec<CrashKind>,
     trace: Vec<PendingOp>,
     metrics: Metrics,
+    /// The undo log of the stepped trial in progress: one record per
+    /// grant since [`StepEngine::begin_stepped`], cleared by every
+    /// [`StepEngine::reset`]. Logged [`Word::Snap`] words keep their
+    /// snapshot records alive until the grant is unwound or the log
+    /// cleared — at most one record per level of the walk.
+    stepped_log: Vec<GrantRecord>,
     /// The installed dynamic footprint checker, if any; validated
     /// against every granted operation in the grant loops. Behind the
     /// `check` feature so unchecked builds carry neither the field nor
@@ -343,6 +366,7 @@ impl<B: RegisterBank> StepEngine<B> {
             crashed: Vec::new(),
             trace: Vec::new(),
             metrics: Metrics::default(),
+            stepped_log: Vec::new(),
             #[cfg(feature = "check")]
             checker: None,
         }
@@ -482,6 +506,7 @@ impl<B: RegisterBank> StepEngine<B> {
         self.regs.reset(self.num_registers);
         self.trace.clear();
         self.trace_moved = false;
+        self.stepped_log.clear();
         let counted = if self.measure_contention {
             self.num_registers
         } else {
@@ -702,12 +727,13 @@ impl<B: RegisterBank> StepEngine<B> {
     /// Starts a **stepped** pooled trial: resets the engine and the pool
     /// exactly as [`StepEngine::run_pool`] does and builds the pending
     /// set, then hands control to the caller, who grants one process at
-    /// a time with [`StepEngine::grant_stepped`] and reads the frontier
-    /// back with [`StepEngine::stepped_pending`]. Granting a schedule
-    /// pid by pid leaves the pool, the register bank and the metrics
-    /// exactly where `run_pool` under [`crate::policy::Scripted`] leaves
-    /// them. The exhaustive walk descends the schedule tree on one live
-    /// trial this way instead of re-running the prefix at every node.
+    /// a time with [`StepEngine::grant_stepped`], reads the frontier
+    /// back with [`StepEngine::stepped_pending`] and backtracks with
+    /// [`StepEngine::unwind_stepped`]. Granting a schedule pid by pid
+    /// leaves the pool, the register bank and the metrics exactly where
+    /// `run_pool` under [`crate::policy::Scripted`] leaves them. The
+    /// exhaustive walk descends the schedule tree on one live trial this
+    /// way instead of re-running the prefix at every node.
     pub(crate) fn begin_stepped<M: StepMachine>(&mut self, pool: &mut MachinePool<M>) {
         self.reset();
         pool.begin_trial();
@@ -722,7 +748,13 @@ impl<B: RegisterBank> StepEngine<B> {
         &self.pending
     }
 
-    /// Grants `pid`'s pending operation in the stepped trial.
+    /// The pids granted so far in the stepped trial, in grant order.
+    pub(crate) fn stepped_schedule(&self) -> impl Iterator<Item = Pid> + '_ {
+        self.stepped_log.iter().map(|rec| rec.pid)
+    }
+
+    /// Grants `pid`'s pending operation in the stepped trial and logs
+    /// what [`StepEngine::unwind_stepped`] needs to take it back.
     ///
     /// # Panics
     ///
@@ -733,8 +765,133 @@ impl<B: RegisterBank> StepEngine<B> {
             idx != NOT_PENDING,
             "stepped grant of non-pending process {pid}: the schedule diverged from the trial"
         );
+        let PendingOp { kind, reg, .. } = self.pending[idx];
+        let record = GrantRecord {
+            pid,
+            kind,
+            reg,
+            // An owned copy: `Snap` words bump a reference count,
+            // nothing is allocated.
+            word: self.regs.load(reg),
+            max_steps: self.metrics.max_steps,
+            max_contention: self.metrics.max_contention,
+        };
+        self.stepped_log.push(record);
         let (machines, results, steps) = pool.trial_buffers();
         self.grant(&mut SliceBank(machines), results, steps, idx, true);
+    }
+
+    /// Backtracks the stepped trial to the node after its first `depth`
+    /// grants, whose pending set the caller recorded as `frame` when the
+    /// trial first stood there. Pops the grants past `depth` from the
+    /// undo log, newest first: each write's displaced word goes back
+    /// into its register and the grant counters come off the metrics.
+    /// The trace is cut to `depth` and the pending set restored from
+    /// `frame`. Every machine granted past `depth` — exactly those whose
+    /// step count moved past their `frame` entry — is `reset` and re-fed
+    /// its own logged inputs from the kept prefix (the logged word for a
+    /// read, [`Word::Null`] for a write); the re-feed touches no register
+    /// and runs no other machine. An installed footprint checker is re-armed
+    /// and re-observes the kept prefix, so its counts stay those of the
+    /// prefix alone.
+    ///
+    /// The cost is the undone grants plus the touched machines' own
+    /// prefix steps, not the whole prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "replayed prefix diverged" if a re-fed machine asks
+    /// for a different operation than it logged, completes before
+    /// reaching its `frame` entry, or lands on a different pending
+    /// operation than that entry — a machine whose `reset` does not
+    /// restore its initial state would otherwise walk a different tree.
+    /// Panics if `depth` exceeds the grants made.
+    pub(crate) fn unwind_stepped<M: StepMachine>(
+        &mut self,
+        pool: &mut MachinePool<M>,
+        depth: usize,
+        frame: &[PendingOp],
+    ) {
+        assert!(
+            depth <= self.stepped_log.len(),
+            "cannot unwind to depth {depth}: only {} grants made",
+            self.stepped_log.len()
+        );
+        for rec in self.stepped_log.drain(depth..).rev() {
+            self.metrics.total_ops -= 1;
+            self.metrics.max_steps = rec.max_steps;
+            self.metrics.max_contention = rec.max_contention;
+            if self.measure_contention {
+                self.metrics.ops_per_register[rec.reg.0] -= 1;
+            }
+            match rec.kind {
+                OpKind::Read => self.metrics.reads -= 1,
+                OpKind::Write => {
+                    self.metrics.writes -= 1;
+                    self.regs.write(rec.reg, rec.word);
+                }
+            }
+        }
+        self.trace.truncate(depth);
+
+        let (machines, results, steps) = pool.trial_buffers();
+        self.pending.clear();
+        self.pending.extend_from_slice(frame);
+        self.pending_pos.fill(NOT_PENDING);
+        // Machines reset below that still wait for re-fed inputs.
+        let mut refeeding = 0usize;
+        for (idx, op) in frame.iter().enumerate() {
+            self.pending_pos[op.pid.0] = idx;
+            if steps[op.pid.0] != op.step_index {
+                // Granted past `depth`: back to its initial state.
+                machines[op.pid.0].reset(op.pid);
+                results[op.pid.0] = None;
+                steps[op.pid.0] = 0;
+                if op.step_index == 0 {
+                    check_landed(&machines[op.pid.0], op, depth);
+                } else {
+                    refeeding += 1;
+                }
+            }
+        }
+        for rec in &self.stepped_log {
+            if refeeding == 0 {
+                break;
+            }
+            let p = rec.pid.0;
+            let idx = self.pending_pos[p];
+            // Completed before `depth`, or not granted past it (or
+            // already re-fed up to its frame entry).
+            if idx == NOT_PENDING || steps[p] == self.pending[idx].step_index {
+                continue;
+            }
+            let machine = &mut machines[p];
+            let input = match rec.kind {
+                OpKind::Read => &rec.word,
+                OpKind::Write => &NULL_WORD,
+            };
+            assert!(
+                machine.peek() == (rec.kind, rec.reg)
+                    && matches!(machine.advance(input), Poll::Pending),
+                "replayed prefix diverged at depth {depth}: process {} left its logged \
+                 operations (does the machine's `reset` restore its initial state?)",
+                rec.pid
+            );
+            steps[p] += 1;
+            if steps[p] == self.pending[idx].step_index {
+                check_landed(machine, &self.pending[idx], depth);
+                refeeding -= 1;
+            }
+        }
+        #[cfg(feature = "check")]
+        if let Some(c) = &mut self.checker {
+            c.begin_trial();
+            for (i, rec) in self.stepped_log.iter().enumerate() {
+                c.observe(rec.pid, rec.kind, rec.reg, i as u64 + 1);
+            }
+            self.metrics.checker_ops = c.trial_ops();
+            self.metrics.checker_violations = c.trial_violations();
+        }
     }
 
     /// Re-arms the per-trial scratch of an unsharded trial: no process
@@ -1126,6 +1283,18 @@ impl<M: StepMachine> MachineBank for SliceBank<'_, M> {
     fn advance(&mut self, pid: usize, input: &Word) -> Poll<M::Output> {
         self.0[pid].advance(input)
     }
+}
+
+/// The faithful-reset check of [`StepEngine::unwind_stepped`]: a re-fed
+/// machine must stand on its recorded pending operation again.
+fn check_landed<M: StepMachine>(machine: &M, expected: &PendingOp, depth: usize) {
+    assert!(
+        machine.peek() == (expected.kind, expected.reg),
+        "replayed prefix diverged at depth {depth}: process {} is pending on a different \
+         operation than at the first visit (does the machine's `reset` restore its initial \
+         state?)",
+        expected.pid
+    );
 }
 
 #[cfg(test)]
@@ -1600,6 +1769,144 @@ mod tests {
             .chain(std::iter::once(repo.begin_server(Pid(2), 2)))
             .collect();
         stepped_matches_scripted("deposit", alloc.total(), &mut pool);
+    }
+
+    /// Checks that a stepped trial's observable state — results, steps,
+    /// every register, the pending set, the metrics and the trace —
+    /// equals that of a fresh trial that granted its logged schedule.
+    fn assert_same_as_regranted<M>(
+        what: &str,
+        regs: usize,
+        (live, live_pool): (&StepEngine, &MachinePool<M>),
+        (fresh, fresh_pool): (&mut StepEngine, &mut MachinePool<M>),
+    ) where
+        M: StepMachine,
+        M::Output: PartialEq + std::fmt::Debug,
+    {
+        fresh.begin_stepped(fresh_pool);
+        for pid in live.stepped_schedule() {
+            fresh.grant_stepped(fresh_pool, pid);
+        }
+        assert_eq!(live_pool.results(), fresh_pool.results(), "{what}: results");
+        assert_eq!(live_pool.steps(), fresh_pool.steps(), "{what}: steps");
+        for r in 0..regs {
+            assert_eq!(
+                live.load_register(RegId(r)),
+                fresh.load_register(RegId(r)),
+                "{what}: register {r}"
+            );
+        }
+        assert_eq!(
+            live.stepped_pending(),
+            fresh.stepped_pending(),
+            "{what}: pending"
+        );
+        assert_eq!(live.metrics(), fresh.metrics(), "{what}: metrics");
+        assert_eq!(live.trace(), fresh.trace(), "{what}: trace");
+    }
+
+    /// Descends seeded random paths through the schedule tree on one
+    /// live stepped trial, unwinding to a random depth after each leaf
+    /// as the exhaustive walk does. Every leaf and every unwound node
+    /// must equal a fresh trial that re-granted the same schedule from
+    /// the root — so a descent after an unwind also proves the re-fed
+    /// machines carry on exactly as the originals would have. Returns
+    /// how many logged words at the leaves were snapshot records.
+    fn unwind_matches_regranted_prefix<M>(
+        label: &str,
+        regs: usize,
+        mk: impl Fn() -> MachinePool<M>,
+    ) -> usize
+    where
+        M: StepMachine,
+        M::Output: PartialEq + std::fmt::Debug,
+    {
+        use rand::{Rng, SeedableRng};
+        let engine = || {
+            StepEngine::reusable(regs)
+                .measure_contention(true)
+                .record_trace(true)
+        };
+        let (mut live, mut fresh) = (engine(), engine());
+        let (mut live_pool, mut fresh_pool) = (mk(), mk());
+        let mut snap_words = 0;
+        for seed in 0..8u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            live.begin_stepped(&mut live_pool);
+            let mut frames = vec![live.stepped_pending().to_vec()];
+            for round in 0..6 {
+                while !live.stepped_pending().is_empty() {
+                    let pending = live.stepped_pending();
+                    let pid = pending[rng.gen_range(0..pending.len())].pid;
+                    live.grant_stepped(&mut live_pool, pid);
+                    frames.push(live.stepped_pending().to_vec());
+                }
+                snap_words += live
+                    .stepped_log
+                    .iter()
+                    .filter(|rec| matches!(rec.word, Word::Snap(_)))
+                    .count();
+                let what = format!("{label} seed {seed} round {round} leaf");
+                assert_same_as_regranted(
+                    &what,
+                    regs,
+                    (&live, &live_pool),
+                    (&mut fresh, &mut fresh_pool),
+                );
+                let depth = rng.gen_range(0..frames.len());
+                live.unwind_stepped(&mut live_pool, depth, &frames[depth]);
+                frames.truncate(depth + 1);
+                assert_eq!(live.stepped_schedule().count(), depth);
+                let what = format!("{label} seed {seed} round {round} unwound to {depth}");
+                assert_same_as_regranted(
+                    &what,
+                    regs,
+                    (&live, &live_pool),
+                    (&mut fresh, &mut fresh_pool),
+                );
+            }
+        }
+        snap_words
+    }
+
+    #[test]
+    fn unwind_restores_the_regranted_prefix() {
+        // Compete-For-Register, 3 contenders.
+        let mut alloc = RegAlloc::new();
+        let bank = exsel_core::SlotBank::new(&mut alloc, 1);
+        unwind_matches_regranted_prefix("compete", alloc.total(), || {
+            (1..=3).map(|t| bank.begin_compete(0, t)).collect()
+        });
+
+        // Store&collect first stores, 4 contenders: a boxed composite
+        // renamer inside, so the machines cannot be cloned, only reset.
+        let mut alloc = RegAlloc::new();
+        let sc = exsel_storecollect::StoreCollect::known(
+            &mut alloc,
+            4,
+            4,
+            &exsel_core::RenameConfig::default(),
+        );
+        unwind_matches_regranted_prefix("first-store", alloc.total(), || {
+            (0..4)
+                .map(|p| sc.begin_first_store(Pid(p), p as u64 + 1, 7))
+                .collect()
+        });
+
+        // The deposit family: its scans read snapshot records, so the
+        // log holds `Snap` words.
+        let mut alloc = RegAlloc::new();
+        let repo = exsel_unbounded::AltruisticDeposit::new(&mut alloc, 3, 512);
+        let snap_words = unwind_matches_regranted_prefix("deposit", alloc.total(), || {
+            (0..2)
+                .map(|p| repo.begin_deposit(Pid(p), 100 * p as u64, 2))
+                .chain(std::iter::once(repo.begin_server(Pid(2), 2)))
+                .collect()
+        });
+        assert!(
+            snap_words > 0,
+            "the deposit log never held a snapshot record"
+        );
     }
 
     #[test]

@@ -60,9 +60,16 @@
 //! The walk descends one live, *stepped* engine trial: each node's
 //! pending set is copied into a per-depth frame reused for the whole
 //! walk, the live pool and bank — the node's state — are fingerprinted
-//! in place, and the first unpruned child is granted directly. Only a
-//! later sibling re-grants the prefix from the root, and a replay that
-//! does not land on the recorded node panics (an unfaithful `reset`).
+//! in place, and the first unpruned child is granted directly. Before
+//! each later sibling the trial backtracks to the node by undoing
+//! grants, as stateful model checkers do: the engine's undo log puts
+//! back the registers the finished subtree wrote and takes its grants
+//! off the metrics, and only the machines that subtree granted are
+//! `reset` and re-fed their own logged inputs from the kept prefix. No
+//! node replays the prefix from the root; a backtrack costs the undone
+//! grants plus the touched machines' own prefix steps. A re-fed machine
+//! that does not land on the node's recorded frame panics (an
+//! unfaithful `reset`).
 //!
 //! ```
 //! use exsel_core::SlotBank;
@@ -217,10 +224,10 @@ struct Dfs<'e, 'k, M: StepMachine, B: RegisterBank, C> {
     /// was already expanded under.
     visited: HashMap<u128, Vec<u64>>,
     failing: Option<Vec<Pid>>,
-    /// The grants from the root to the current node.
-    prefix: Vec<Pid>,
     /// `frames[d]` holds the pending set of the node at depth `d` on the
-    /// current path, reused across the whole walk.
+    /// current path, reused across the whole walk; it is also the target
+    /// the engine's unwind restores and checks when the walk backtracks
+    /// to that node.
     frames: Vec<Vec<PendingOp>>,
 }
 
@@ -228,10 +235,11 @@ impl<M, B, C> Dfs<'_, '_, M, B, C>
 where
     M: StepMachine,
     B: RegisterBank,
-    C: FnMut(&MachinePool<M>) -> bool,
+    C: FnMut(&StepEngine<B>, &MachinePool<M>) -> bool,
 {
     /// Expands the node at `depth`. On entry the engine's stepped trial
-    /// sits exactly at that node: `prefix` granted from the root.
+    /// sits exactly at that node: the first `depth` grants of its undo
+    /// log lead there from the root.
     fn walk(&mut self, depth: usize, sleep: u64) {
         if self.truncated {
             return;
@@ -250,8 +258,8 @@ where
         if frame.is_empty() {
             self.executions += 1;
             self.max_depth = self.max_depth.max(depth);
-            if !(self.check)(self.pool) && self.failing.is_none() {
-                self.failing = Some(self.prefix.clone());
+            if !(self.check)(self.engine, self.pool) && self.failing.is_none() {
+                self.failing = Some(self.engine.stepped_schedule().collect());
             }
             return;
         }
@@ -270,8 +278,9 @@ where
         }
 
         let mut sleep = sleep;
-        // Whether the engine still sits at this node: only the first
-        // walked child is reached without replaying the prefix.
+        // Whether the engine still sits at this node: the first walked
+        // child is granted directly; every later one first unwinds the
+        // previous child's subtree back to here.
         let mut at_node = true;
         for idx in 0..self.frames[depth].len() {
             if self.truncated {
@@ -297,33 +306,16 @@ where
                 0
             };
             if !at_node {
-                self.replay(depth);
+                self.engine
+                    .unwind_stepped(self.pool, depth, &self.frames[depth]);
             }
             at_node = false;
             self.engine.grant_stepped(self.pool, c.pid);
-            self.prefix.push(c.pid);
             self.walk(depth + 1, child_sleep);
-            self.prefix.pop();
             if self.sleep_sets {
                 sleep |= bit;
             }
         }
-    }
-
-    /// Returns the stepped trial to the node at `depth` by re-granting
-    /// the prefix from the root. It must land where the walk first saw
-    /// that node: a machine whose `reset` does not restore its initial
-    /// state would otherwise silently walk a different tree.
-    fn replay(&mut self, depth: usize) {
-        self.engine.begin_stepped(self.pool);
-        for &pid in &self.prefix {
-            self.engine.grant_stepped(self.pool, pid);
-        }
-        assert!(
-            self.engine.stepped_pending() == self.frames[depth].as_slice(),
-            "replayed prefix diverged at depth {depth}: the pending set differs from the \
-             first visit (does the machine's `reset` restore its initial state?)"
-        );
     }
 }
 
@@ -352,7 +344,7 @@ fn shrink_schedule<M, B, C>(
 where
     M: StepMachine,
     B: RegisterBank,
-    C: FnMut(&MachinePool<M>) -> bool,
+    C: FnMut(&StepEngine<B>, &MachinePool<M>) -> bool,
 {
     let mut cur = failing;
     let mut chunk = cur.len() / 2;
@@ -362,7 +354,7 @@ where
             let mut candidate = cur[..i].to_vec();
             candidate.extend_from_slice(&cur[(i + chunk).min(cur.len())..]);
             replay_pool(engine, pool, &candidate);
-            if !check(pool) {
+            if !check(engine, pool) {
                 cur = candidate; // removal kept the failure: stay at `i`
             } else {
                 i += chunk;
@@ -456,7 +448,8 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 }
 
 /// The shared driver: walks the reduced tree, then shrinks the first
-/// failing schedule (if any).
+/// failing schedule (if any). `check` sees the engine beside the pool
+/// at every leaf (the public entry points hand it the pool only).
 fn run_dfs<M, B, C>(
     engine: &mut StepEngine<B>,
     pool: &mut MachinePool<M>,
@@ -467,7 +460,7 @@ fn run_dfs<M, B, C>(
 where
     M: StepMachine,
     B: RegisterBank,
-    C: FnMut(&MachinePool<M>) -> bool,
+    C: FnMut(&StepEngine<B>, &MachinePool<M>) -> bool,
 {
     assert!(pool.len() <= 64, "sleep sets use a 64-bit pid mask");
     let mut dfs = Dfs {
@@ -483,7 +476,6 @@ where
         truncated: false,
         visited: HashMap::new(),
         failing: None,
-        prefix: Vec::new(),
         frames: Vec::new(),
     };
     dfs.engine.begin_stepped(dfs.pool);
@@ -608,7 +600,7 @@ where
     } else {
         None
     };
-    run_dfs(engine, pool, config, check, key)
+    run_dfs(engine, pool, config, leaf_check(check), key)
 }
 
 /// Exhaustive exploration without any fingerprinting bound: the
@@ -637,7 +629,17 @@ where
         !config.visited && !config.symmetry,
         "explore_pool_sleep cannot hash state; use explore_pool_reduced"
     );
-    run_dfs(engine, pool, config, check, None)
+    run_dfs(engine, pool, config, leaf_check(check), None)
+}
+
+/// Adapts a pool-only property to the walk's leaf check.
+fn leaf_check<M, B, C>(mut check: C) -> impl FnMut(&StepEngine<B>, &MachinePool<M>) -> bool
+where
+    M: StepMachine,
+    B: RegisterBank,
+    C: FnMut(&MachinePool<M>) -> bool,
+{
+    move |_, pool| check(pool)
 }
 
 #[cfg(test)]
@@ -1019,6 +1021,64 @@ mod tests {
             .collect();
         let mut engine = StepEngine::reusable(alloc.total());
         explore_pool_sleep(&mut engine, &mut pool, &ReduceConfig::off(1_000), |_| true);
+    }
+
+    #[cfg(feature = "check")]
+    #[test]
+    fn walk_checker_counts_match_replay_at_every_leaf() {
+        // Compete, 3 contenders, unreduced. Processes 0 and 1 declare
+        // the slot; process 2 declares reads only, so its writes are
+        // violations on exactly the schedules that let it write. The
+        // walk's checker counts at each leaf must be those of a
+        // from-scratch replay of that leaf's schedule, although the walk
+        // reached most leaves by unwinding.
+        let mut alloc = RegAlloc::new();
+        let bank = exsel_core::SlotBank::new(&mut alloc, 1);
+        let regs = bank.registers();
+        let specs: Vec<exsel_shm::FootprintSpec> = (0..3)
+            .map(|p| {
+                let mut spec = exsel_shm::FootprintSpec::default();
+                let phase = spec.phase("compete").reads(regs);
+                if p < 2 {
+                    phase.writes_shared(regs);
+                }
+                spec
+            })
+            .collect();
+        let checker = exsel_analysis::AccessChecker::compile(&specs, alloc.total())
+            .expect("the declarations do not interfere");
+        let mut pool: MachinePool<_> = (1..=3).map(|t| bank.begin_compete(0, t)).collect();
+        let mut engine = StepEngine::reusable(alloc.total());
+        engine.install_checker(checker);
+        let mut leaves: Vec<(Vec<Pid>, u64, u64)> = Vec::new();
+        let report = run_dfs(
+            &mut engine,
+            &mut pool,
+            &ReduceConfig::off(u64::MAX),
+            |engine: &StepEngine, _: &MachinePool<_>| {
+                let m = engine.metrics();
+                leaves.push((
+                    engine.stepped_schedule().collect(),
+                    m.checker_ops,
+                    m.checker_violations,
+                ));
+                true
+            },
+            None,
+        );
+        assert!(report.complete);
+        assert_eq!(leaves.len(), 73_608);
+        let violating = leaves.iter().filter(|leaf| leaf.2 > 0).count();
+        assert!(violating > 0 && violating < leaves.len());
+        for (schedule, ops, violations) in &leaves {
+            replay_pool(&mut engine, &mut pool, schedule);
+            let m = engine.metrics();
+            assert_eq!(
+                (m.checker_ops, m.checker_violations),
+                (*ops, *violations),
+                "leaf {schedule:?}"
+            );
+        }
     }
 
     #[test]

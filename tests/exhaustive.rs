@@ -9,8 +9,13 @@
 //! `ReduceConfig::off` it visits every grant sequence, and each tree's
 //! execution count is frozen here as a golden value: a changed count
 //! means the enumerator or a machine's operation sequence changed.
+//! The paper's majority and basic renamers are walked with sleep sets
+//! through the lower-bound harness's exclusiveness audit, over every
+//! triple of original names at the smallest sizes where contenders race;
+//! their executions, pruned branches and depths are frozen the same way.
 
-use exclusive_selection::renaming::{CompeteOp, MoirAnderson, SlotBank};
+use exclusive_selection::lowerbound::exhaust_exclusiveness_pooled;
+use exclusive_selection::renaming::{BasicRename, CompeteOp, Majority, MoirAnderson, SlotBank};
 use exclusive_selection::shm::snapshot::{ScanOp, UpdateOp};
 use exclusive_selection::shm::{Pid, Snapshot};
 use exclusive_selection::sim::{
@@ -19,7 +24,9 @@ use exclusive_selection::sim::{
 };
 use exclusive_selection::storecollect::{FirstStoreOp, StoreCollect};
 use exclusive_selection::unbounded::AltruisticDeposit;
-use exclusive_selection::{Outcome, Poll, RegAlloc, ShmOp, StepMachine, StepRename, Word};
+use exclusive_selection::{
+    Outcome, Poll, RegAlloc, RenameConfig, ShmOp, StepMachine, StepRename, Word,
+};
 use std::collections::BTreeSet;
 
 /// Walks every interleaving of `pool` with no reduction and asserts that
@@ -520,5 +527,67 @@ fn shrinker_minimizes_a_seeded_known_bad_interleaving() {
     assert!(
         !pid0_never_wins(&pool),
         "minimized schedule no longer fails on replay"
+    );
+}
+
+/// Exhausts `algo` with three contenders over every 3-subset of original
+/// names in `[1, n]` — sleep sets, crash-free, through the lower-bound
+/// harness's exclusiveness audit — and asserts exclusive names on every
+/// interleaving of every subset. Returns the summed executions, the
+/// summed pruned branches, the deepest execution, and how many subsets
+/// race at all (more than one trace class).
+fn exhaust_every_triple(algo: &dyn StepRename, num_registers: usize, n: u64) -> [u64; 4] {
+    let mut engine = StepEngine::reusable(num_registers);
+    let mut totals = [0u64; 4];
+    for a in 1..=n {
+        for b in a + 1..=n {
+            for c in b + 1..=n {
+                let mut pool: MachinePool<_> = [a, b, c]
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &original)| {
+                        algo.begin_rename(Pid(p), original)
+                            .map_output(Outcome::name as fn(Outcome) -> Option<u64>)
+                    })
+                    .collect();
+                let report =
+                    exhaust_exclusiveness_pooled(&mut engine, &mut pool, num_registers, u64::MAX);
+                assert!(report.complete, "originals {a}, {b}, {c}: walk truncated");
+                assert_eq!(
+                    report.minimized, None,
+                    "originals {a}, {b}, {c}: two contenders got the same name"
+                );
+                totals[0] += report.executions;
+                totals[1] += report.execs_pruned;
+                totals[2] = totals[2].max(report.max_depth as u64);
+                totals[3] += u64::from(report.executions > 1);
+            }
+        }
+    }
+    totals
+}
+
+#[test]
+fn majority_exclusive_names_every_interleaving_k3_n8() {
+    // Majority(3, 8) on the default expander: N = 8 is the smallest
+    // name space where contenders race (6 of the 56 triples).
+    let mut alloc = RegAlloc::new();
+    let algo = Majority::new(&mut alloc, 8, 3, &RenameConfig::default());
+    assert_eq!(
+        exhaust_every_triple(&algo, alloc.total(), 8),
+        [122, 30_860, 23, 6]
+    );
+}
+
+#[test]
+fn basic_rename_exclusive_names_every_interleaving_k3_n12() {
+    // Below N = 12 no triple of originals meets in BasicRename's
+    // stages, so every walk is a single trace class; N = 12 is the
+    // smallest name space where contenders race (10 of 220 triples).
+    let mut alloc = RegAlloc::new();
+    let algo = BasicRename::new(&mut alloc, 12, 3, &RenameConfig::default());
+    assert_eq!(
+        exhaust_every_triple(&algo, alloc.total(), 12),
+        [407, 101_066, 31, 10]
     );
 }
