@@ -1,8 +1,9 @@
 //! The service scenarios: the open-loop client harness
-//! ([`exsel_sim::service`]) run at benchmark scale on the slab register
-//! bank — clients arrive, acquire a naming ticket, store, collect and
-//! deposit, and depart, under admission control and (for the storm
-//! variant) a crash-hazard fault injector.
+//! ([`exsel_sim::service`]) run at benchmark scale — clients arrive,
+//! acquire a naming ticket, store, collect and deposit, and depart,
+//! under admission control and (for the storm variant) a crash-hazard
+//! fault injector. The single-service scenarios run as a fleet of one
+//! shard.
 //!
 //! Four registry entries share this body:
 //!
@@ -16,7 +17,7 @@
 //! - `service-mega` — the sharded fleet
 //!   ([`exsel_sim::service::mega`]): 1250 admission shards × 8 slots =
 //!   10⁴ concurrent slots driving ≥ 10⁶ sessions per run, each shard on
-//!   its own slab register file; merges its row into
+//!   its own register file; merges its row into
 //!   `BENCH_engine.json`, and the bench gate re-probes the whole
 //!   committed shard axis for allocation flatness
 //!   ([`measure_mega`]).
@@ -29,13 +30,10 @@
 
 use std::time::Instant;
 
-use exsel_shm::SlabBank;
 use exsel_sim::service::mega::{
     MegaServiceConfig, MegaServiceHarness, MegaServiceReport, MegaServiceWorld,
 };
-use exsel_sim::service::{
-    Admission, Arrivals, ServiceConfig, ServiceHarness, ServiceReport, ServiceWorld, WindowRow,
-};
+use exsel_sim::service::{Admission, Arrivals, ServiceConfig, ServiceReport, WindowRow};
 
 use crate::alloc_probe;
 use crate::gate::Measurement as Row;
@@ -192,11 +190,11 @@ pub struct MegaServiceSpec {
 /// The per-shard Poisson mean gap every `service-mega` axis point runs
 /// at — the `service-steady` operating point (ρ ≈ 0.84 on 8 slots), so
 /// mega throughput divides cleanly into a per-shard rate comparable to
-/// the unsharded row.
+/// the single-shard `service-steady` row.
 pub const MEGA_PER_SHARD_GAP: f64 = 2800.0;
 
 /// The shard counts the bench gate re-probes ([`measure_mega`]): the
-/// unsharded degenerate point, a small fleet, and the committed
+/// single-shard degenerate point, a small fleet, and the committed
 /// full-scale fleet (1250 shards × 8 slots = 10⁴ concurrent slots).
 pub const MEGA_SHARD_AXIS: [usize; 3] = [1, 16, 1250];
 
@@ -372,44 +370,11 @@ fn summary_json(
 }
 
 /// Drives a scenario harness to completion — equivalent to
-/// [`ServiceHarness::run`]. Compiled with `--features check`, a
-/// footprint checker is installed first and the run must end with zero
-/// violations, so every service scenario doubles as a checked battery.
-fn run_service_harness(
-    world: &ServiceWorld,
-    cfg: &ServiceConfig,
-    mut harness: ServiceHarness<SlabBank>,
-) -> ServiceReport {
-    #[cfg(feature = "check")]
-    harness.install_checker(
-        exsel_sim::AccessChecker::for_instance(world, cfg.slots, world.num_registers())
-            .expect("scenario world failed the static non-interference pass"),
-    );
-    #[cfg(not(feature = "check"))]
-    let _ = world;
-    let target = match cfg.target_sessions {
-        0 => u64::MAX,
-        t => t,
-    };
-    let _ = harness.run_until(target);
-    #[cfg(feature = "check")]
-    {
-        assert!(
-            harness.checker().is_some_and(|c| c.trial_ops() > 0),
-            "checked scenario run observed no operations"
-        );
-        assert_eq!(
-            harness.checker_violations(),
-            0,
-            "service scenario stepped outside its declared footprints"
-        );
-    }
-    harness.finish()
-}
-
-/// Mega-fleet counterpart of [`run_service_harness`]: one checker per
-/// admission shard under `--features check`, zero violations required.
-fn run_mega_harness(
+/// [`MegaServiceHarness::run`]. Compiled with `--features check`, one
+/// footprint checker per admission shard is installed first and the run
+/// must observe operations with zero violations, so every service
+/// scenario doubles as a checked battery.
+fn run_harness(
     world: &MegaServiceWorld,
     cfg: &MegaServiceConfig,
     mut harness: MegaServiceHarness,
@@ -421,7 +386,7 @@ fn run_mega_harness(
             .iter()
             .map(|w| {
                 exsel_sim::AccessChecker::for_instance(w, cfg.base.slots, w.num_registers())
-                    .expect("shard world failed the static non-interference pass")
+                    .expect("scenario world failed the static non-interference pass")
             })
             .collect(),
     );
@@ -433,11 +398,17 @@ fn run_mega_harness(
     };
     let _ = harness.run_until(target);
     #[cfg(feature = "check")]
-    assert_eq!(
-        harness.checker_violations(),
-        0,
-        "mega scenario stepped outside its declared footprints"
-    );
+    {
+        assert!(
+            harness.checker_ops() > 0,
+            "checked scenario run observed no operations"
+        );
+        assert_eq!(
+            harness.checker_violations(),
+            0,
+            "service scenario stepped outside its declared footprints"
+        );
+    }
     harness.finish()
 }
 
@@ -480,10 +451,14 @@ pub fn run(name: &str, spec: &ServiceSpec, overrides: &RunOverrides) -> Vec<serd
     let mut rows = Vec::new();
     for seed in seeds {
         cfg.seed = seed;
-        let world = ServiceWorld::new(&cfg);
-        let harness = ServiceHarness::with_bank(&world, &cfg, SlabBank::new());
+        let fleet = MegaServiceConfig {
+            base: cfg,
+            shards: 1,
+        };
+        let world = MegaServiceWorld::new(&fleet);
+        let harness = MegaServiceHarness::new(&world, &fleet);
         let start = Instant::now();
-        let report = run_service_harness(&world, &cfg, harness);
+        let report = run_harness(&world, &fleet, harness).report;
         let secs = start.elapsed().as_secs_f64();
         assert_report(name, spec, &cfg, &report);
         #[allow(
@@ -657,7 +632,7 @@ pub fn run_mega(
         let world = MegaServiceWorld::new(&cfg);
         let harness = MegaServiceHarness::new(&world, &cfg);
         let start = Instant::now();
-        let mega = run_mega_harness(&world, &cfg, harness);
+        let mega = run_harness(&world, &cfg, harness);
         let secs = start.elapsed().as_secs_f64();
         assert_mega_report(name, &cfg, &mega);
         let report = &mega.report;
@@ -738,8 +713,12 @@ pub fn measure(quick: bool) -> Row {
     // The audit vector is pre-sized off the target, so recording names
     // stays in the measured window's zero-allocation budget.
     let warm = cfg.target_sessions / 10;
-    let world = ServiceWorld::new(&cfg);
-    let mut harness = ServiceHarness::with_bank(&world, &cfg, SlabBank::new());
+    let fleet = MegaServiceConfig {
+        base: cfg,
+        shards: 1,
+    };
+    let world = MegaServiceWorld::new(&fleet);
+    let mut harness = MegaServiceHarness::new(&world, &fleet);
     assert!(harness.run_until(warm), "service drained during warm-up");
     let ops_before = harness.ops();
     let before = alloc_probe::counts();
@@ -751,7 +730,7 @@ pub fn measure(quick: bool) -> Row {
     let secs = start.elapsed().as_secs_f64();
     let window = alloc_probe::counts().since(&before);
     let steady_ops = harness.ops() - ops_before;
-    let report = harness.finish();
+    let report = harness.finish().report;
     let measured = cfg.target_sessions - warm;
     #[allow(
         clippy::cast_precision_loss,
@@ -873,8 +852,8 @@ pub fn measure_mega(quick: bool) -> Vec<Row> {
         .collect()
 }
 
-/// Every service row the bench gate re-measures: the unsharded steady
-/// row plus the whole mega shard axis.
+/// Every service row the bench gate re-measures: the single-shard
+/// steady row plus the whole mega shard axis.
 #[must_use]
 pub fn measure_rows(quick: bool) -> Vec<Row> {
     let mut rows = vec![measure(quick)];

@@ -57,7 +57,7 @@ pub enum Kind {
     Service(expts::service::ServiceSpec),
     /// A sharded mega-fleet service run
     /// ([`crate::expts::service::run_mega`]): per-shard admission
-    /// controllers over per-shard slab banks on one global clock. On
+    /// controllers over per-shard register banks, run shard-major. On
     /// top of the service flags it honors `--shards`, which resizes the
     /// fleet while holding each shard's arrival rate fixed.
     Mega(expts::service::MegaServiceSpec),
@@ -649,7 +649,7 @@ pub fn registry() -> Vec<Scenario> {
         Scenario {
             name: "service-mega",
             summary:
-                "10^4-slot sharded fleet: per-shard admission + slab banks, 10^6 sessions (updates BENCH_engine.json)",
+                "10^4-slot sharded fleet: per-shard admission + register banks, 10^6 sessions (updates BENCH_engine.json)",
             kind: Kind::Mega(expts::service::mega_spec()),
         },
         grid(

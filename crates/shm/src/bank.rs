@@ -2,9 +2,9 @@
 //!
 //! The engine's register bank was historically a `Vec<Word>` — one enum
 //! word per register, with [`Word::Snap`] variants holding an `Arc` to
-//! the snapshot record. That representation is kept as [`ArcBank`] (the
-//! differential oracle), and [`SlabBank`] is the mega-scale backend:
-//! registers are [`SlabEntry`]s — `Copy` payloads with the common small
+//! the snapshot record. That representation is kept as [`ArcBank`], the
+//! default bank and the service harness's, and [`SlabBank`] is the
+//! alternative backend: registers are [`SlabEntry`]s — `Copy` payloads with the common small
 //! variants (`Null`/`Int`/`Pair`) inlined and snapshot records referenced
 //! by an `(index, generation)` handle into contiguous slab storage. A
 //! steady-state grant on an inline word is a plain 24-byte store with no
@@ -185,10 +185,9 @@ pub trait RegisterBank {
     fn load(&self, reg: RegId) -> Word;
 }
 
-/// The historical register bank: one [`Word`] per register. Reads
-/// borrow the word in place; writes are enum assignments (drop glue runs
-/// on the displaced word). Kept as the differential oracle for
-/// [`SlabBank`].
+/// The default register bank: one [`Word`] per register. Reads borrow
+/// the word in place; writes are enum assignments (drop glue runs on the
+/// displaced word). The differential reference for [`SlabBank`].
 #[derive(Debug, Default)]
 pub struct ArcBank {
     words: Cells<Word>,
@@ -339,25 +338,6 @@ impl SlabBank {
     #[must_use]
     pub fn materialized(&self) -> usize {
         self.entries.cells.len()
-    }
-
-    /// Pre-seeds the slab's snapshot-slot storage so at least
-    /// `snap_slots` slots exist (live or free). Slots otherwise grow
-    /// lazily on the first `Snap` write each; a harness that promises a
-    /// zero-allocation steady state (the sharded service runs build one
-    /// bank per shard) reserves its per-bank high-water up front so the
-    /// slot vector never grows mid-run. Reserved slots survive
-    /// [`RegisterBank::reset`], which rebuilds the free list over every
-    /// allocated slot.
-    pub fn reserve_slots(&mut self, snap_slots: usize) {
-        while self.slots.len() < snap_slots {
-            let slot = u32::try_from(self.slots.len()).expect("slab slot index fits u32");
-            self.slots.push(SnapSlot {
-                gen: 0,
-                word: Word::Null,
-            });
-            self.free.push(slot);
-        }
     }
 
     /// The entry of `reg`; null past the materialized prefix.
@@ -588,30 +568,6 @@ mod tests {
         slab.reset(4);
         assert_eq!(slab.live_entries(), 0);
         assert_eq!(slab.peak_entries(), 3);
-    }
-
-    #[test]
-    fn reserved_slots_preempt_lazy_growth_and_survive_reset() {
-        let mut slab = SlabBank::new();
-        slab.reset(4);
-        slab.reserve_slots(3);
-        assert_eq!(slab.allocated_slots(), 3);
-        assert_eq!(slab.live_slots(), 0);
-        // Writes park records in the reserved slots without growing.
-        for i in 0..3 {
-            slab.write(RegId(i), snap_word(i as u64));
-        }
-        assert_eq!(slab.allocated_slots(), 3);
-        assert_eq!(slab.live_slots(), 3);
-        // Reset keeps the reserved capacity; a smaller reserve is a
-        // no-op on an already-large slab.
-        slab.reset(4);
-        slab.reserve_slots(2);
-        assert_eq!(slab.allocated_slots(), 3);
-        for i in 0..3 {
-            slab.write(RegId(i), snap_word(10 + i as u64));
-        }
-        assert_eq!(slab.allocated_slots(), 3, "steady state must not grow");
     }
 
     #[test]

@@ -562,7 +562,12 @@ impl<B: RegisterBank> StepEngine<B> {
         let n = machines.len();
         let mut results: Vec<Option<Result<T, Crash>>> = (0..n).map(|_| None).collect();
         let mut steps = vec![0u64; n];
-        self.drive_machines(policy, &mut machines, &mut results, &mut steps);
+        self.drive_bank(
+            policy,
+            &mut SliceBank(&mut machines),
+            &mut results,
+            &mut steps,
+        );
 
         SimOutcome {
             results: results
@@ -599,7 +604,7 @@ impl<B: RegisterBank> StepEngine<B> {
         self.reset();
         pool.begin_trial();
         let (machines, results, steps) = pool.trial_buffers();
-        self.drive_machines(policy, machines, results, steps);
+        self.drive_bank(policy, &mut SliceBank(machines), results, steps);
     }
 
     /// Runs one pooled trial with the **sharded** grant loop: pids are
@@ -709,19 +714,6 @@ impl<B: RegisterBank> StepEngine<B> {
         for entry in &self.pending[idx..] {
             self.pending_pos[entry.pid.0] -= 1;
         }
-    }
-
-    /// The grant loop over slice-stored machines — a thin adapter onto
-    /// [`StepEngine::drive_bank`] (the pre-refactor signature, kept for
-    /// the boxed and pooled entry points).
-    fn drive_machines<M: StepMachine>(
-        &mut self,
-        policy: &mut dyn Policy,
-        machines: &mut [M],
-        results: &mut [Option<Result<M::Output, Crash>>],
-        steps: &mut [u64],
-    ) {
-        self.drive_bank(policy, &mut SliceBank(machines), results, steps);
     }
 
     /// Starts a **stepped** pooled trial: resets the engine and the pool
@@ -1001,13 +993,10 @@ impl<B: RegisterBank> StepEngine<B> {
         self.metrics.trials = 1;
     }
 
-    /// The one unsharded grant body: performs the operation pending at
-    /// `pending[idx]` and books it — metrics, trace, the footprint
-    /// checker, the register access and (with `maintain`) the
-    /// incremental pending-set update. Reads hand the machine a borrow
-    /// of the register word (no clone — snapshot scanners exploit this);
-    /// the operand word of a write is materialized exactly once, here.
-    /// Returns whether the grantee completed.
+    /// The unsharded grant: performs the operation pending at
+    /// `pending[idx]` through [`StepEngine::perform`] and (with
+    /// `maintain`) updates the pending set incrementally, keeping it
+    /// sorted by pid. Returns whether the grantee completed.
     #[inline]
     fn grant<MB: MachineBank>(
         &mut self,
@@ -1017,14 +1006,61 @@ impl<B: RegisterBank> StepEngine<B> {
         idx: usize,
         maintain: bool,
     ) -> bool {
-        let PendingOp { pid, kind, reg, .. } = self.pending[idx];
+        let op = self.pending[idx];
+        let (poll, _) = self.perform(bank, steps, op, None);
+        match poll {
+            Poll::Ready(out) => {
+                results[op.pid.0] = Some(Ok(out));
+                if maintain {
+                    self.remove_pending(idx);
+                }
+                true
+            }
+            Poll::Pending => {
+                if maintain {
+                    let (kind, reg) = bank.peek(op.pid.0);
+                    self.pending[idx] = PendingOp {
+                        pid: op.pid,
+                        kind,
+                        reg,
+                        step_index: steps[op.pid.0],
+                    };
+                }
+                false
+            }
+        }
+    }
+
+    /// The per-op half of every grant, shared by the unsharded and the
+    /// sharded loop; the pending-set upkeep stays with each loop. Checks
+    /// the register is in range, measures contention over `scope` (the
+    /// caller's pending set, `None` for the unsharded one), records the
+    /// trace, counts the step and the op, lets the footprint checker
+    /// observe it, and performs the read or write. Reads hand the
+    /// machine a borrow of the register word (no clone — snapshot
+    /// scanners exploit this); the operand word of a write is
+    /// materialized exactly once, here. Returns the machine's poll and
+    /// the contention measured (0 when contention is not measured).
+    /// Always inlined, so each loop compiles the body into its own hot
+    /// path rather than calling it per operation.
+    #[inline(always)]
+    fn perform<MB: MachineBank>(
+        &mut self,
+        bank: &mut MB,
+        steps: &mut [u64],
+        op: PendingOp,
+        scope: Option<&[PendingOp]>,
+    ) -> (Poll<MB::Output>, usize) {
+        let PendingOp { pid, kind, reg, .. } = op;
         assert!(
             reg.0 < self.regs.len(),
             "register {reg} out of range ({} registers)",
             self.regs.len()
         );
+        let mut contention = 0;
         if self.measure_contention {
-            let contention = self.pending.iter().filter(|p| p.reg == reg).count();
+            let scope = scope.unwrap_or(&self.pending);
+            contention = scope.iter().filter(|p| p.reg == reg).count();
             self.metrics.max_contention = self.metrics.max_contention.max(contention);
             self.metrics.ops_per_register[reg.0] += 1;
         }
@@ -1057,27 +1093,7 @@ impl<B: RegisterBank> StepEngine<B> {
                 bank.advance(pid.0, &NULL_WORD)
             }
         };
-        match poll {
-            Poll::Ready(out) => {
-                results[pid.0] = Some(Ok(out));
-                if maintain {
-                    self.remove_pending(idx);
-                }
-                true
-            }
-            Poll::Pending => {
-                if maintain {
-                    let (kind, reg) = bank.peek(pid.0);
-                    self.pending[idx] = PendingOp {
-                        pid,
-                        kind,
-                        reg,
-                        step_index: steps[pid.0],
-                    };
-                }
-                false
-            }
-        }
+        (poll, contention)
     }
 
     /// The sharded grant loop (see [`StepEngine::run_pool_sharded`]).
@@ -1105,7 +1121,6 @@ impl<B: RegisterBank> StepEngine<B> {
         }
         let chunk = n.div_ceil(shards).max(1);
         let mut live_count = n;
-        let mut total_ops = 0u64;
 
         // Take the shard storage out of `self` so the decision loop can
         // borrow a shard immutably while metrics/registers mutate.
@@ -1139,7 +1154,7 @@ impl<B: RegisterBank> StepEngine<B> {
                 if shard.is_empty() {
                     break;
                 }
-                if total_ops >= self.max_total_ops {
+                if self.metrics.total_ops >= self.max_total_ops {
                     assert!(
                         !self.panic_on_budget,
                         "simulation exceeded its operation budget of {} ops — livelocked algorithm?",
@@ -1167,73 +1182,38 @@ impl<B: RegisterBank> StepEngine<B> {
                     idx != NOT_PENDING && pid.0 / chunk == cursor,
                     "policy chose process {pid} outside the offered shard"
                 );
-                if granted {
-                    let PendingOp { kind, reg, .. } = shard[idx];
-                    assert!(
-                        reg.0 < self.regs.len(),
-                        "register {reg} out of range ({} registers)",
-                        self.regs.len()
-                    );
+                let finished = if granted {
+                    let op = shard[idx];
+                    let (poll, contention) = self.perform(bank, steps, op, Some(shard));
+                    self.metrics.shard_ops[cursor] += 1;
                     if self.measure_contention {
-                        let contention = shard.iter().filter(|p| p.reg == reg).count();
-                        self.metrics.max_contention = self.metrics.max_contention.max(contention);
                         self.metrics.shard_contention[cursor] =
                             self.metrics.shard_contention[cursor].max(contention);
-                        self.metrics.ops_per_register[reg.0] += 1;
                     }
-                    self.metrics.shard_ops[cursor] += 1;
-                    if self.record_trace {
-                        self.trace.push(PendingOp {
-                            pid,
-                            kind,
-                            reg,
-                            step_index: steps[pid.0],
-                        });
-                    }
-                    steps[pid.0] += 1;
-                    total_ops += 1;
-                    #[cfg(feature = "check")]
-                    if let Some(c) = &mut self.checker {
-                        c.observe(pid, kind, reg, total_ops);
-                    }
-                    let poll = match kind {
-                        OpKind::Read => {
-                            self.metrics.reads += 1;
-                            bank.advance(pid.0, self.regs.read(reg))
-                        }
-                        OpKind::Write => {
-                            self.metrics.writes += 1;
-                            let word = bank.write_operand(pid.0);
-                            self.regs.write(reg, word);
-                            bank.advance(pid.0, &NULL_WORD)
-                        }
-                    };
-                    let shard = &mut shard_pending[cursor];
                     match poll {
                         Poll::Ready(out) => {
                             results[pid.0] = Some(Ok(out));
-                            live_count -= 1;
-                            shard.swap_remove(idx);
-                            self.pending_pos[pid.0] = NOT_PENDING;
-                            if idx < shard.len() {
-                                self.pending_pos[shard[idx].pid.0] = idx;
-                            }
+                            true
                         }
                         Poll::Pending => {
                             let (kind, reg) = bank.peek(pid.0);
-                            shard[idx] = PendingOp {
+                            shard_pending[cursor][idx] = PendingOp {
                                 pid,
                                 kind,
                                 reg,
                                 step_index: steps[pid.0],
                             };
+                            false
                         }
                     }
                 } else {
-                    live_count -= 1;
                     self.crashed[pid.0] = CrashKind::Adversary;
                     self.metrics.adversary_crashes += 1;
                     results[pid.0] = Some(Err(Crash));
+                    true
+                };
+                if finished {
+                    live_count -= 1;
                     let shard = &mut shard_pending[cursor];
                     shard.swap_remove(idx);
                     self.pending_pos[pid.0] = NOT_PENDING;
@@ -1245,15 +1225,7 @@ impl<B: RegisterBank> StepEngine<B> {
             cursor = (cursor + 1) % shards;
         }
         self.shard_pending = shard_pending;
-
         self.metrics.trials = 1;
-        self.metrics.total_ops = total_ops;
-        self.metrics.max_steps = steps.iter().copied().max().unwrap_or(0);
-        #[cfg(feature = "check")]
-        if let Some(c) = &self.checker {
-            self.metrics.checker_ops = c.trial_ops();
-            self.metrics.checker_violations = c.trial_violations();
-        }
     }
 }
 
@@ -1638,6 +1610,148 @@ mod tests {
         assert_eq!(counts.len(), alloc.total());
         assert_eq!(counts.iter().sum::<u64>(), lean.metrics().total_ops);
         assert!(measured.metrics().hottest_register().is_some());
+    }
+
+    /// FNV-1a over little-endian words.
+    fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// One sharded trial of `Majority` renaming — `k` contenders on odd
+    /// names in `[1, 2k]`, an instance sized for one contender so the
+    /// walks collide, 4 shards, a seeded [`RandomPolicy`], contention and
+    /// trace on, `budget` as the non-panicking operation cap — reduced
+    /// to one digest over the trace, the results, the steps and the
+    /// per-register and per-shard [`Metrics`] vectors, plus every scalar
+    /// `Metrics` field in declaration order (the snapshot stats are
+    /// asserted empty instead).
+    fn sharded_trial(k: usize, seed: u64, budget: Option<u64>) -> (u64, [u64; 10]) {
+        let mut alloc = RegAlloc::new();
+        let names = 2 * k;
+        let algo = crate::AlgoSet::Majority(exsel_core::Majority::new(
+            &mut alloc,
+            names,
+            1,
+            &exsel_core::RenameConfig::default(),
+        ));
+        let originals: Vec<u64> = (0..k).map(|i| (i * names / k) as u64 + 1).collect();
+        let mut pool = algo.pool(&originals);
+        let mut engine = StepEngine::reusable(alloc.total())
+            .measure_contention(true)
+            .record_trace(true);
+        if let Some(ops) = budget {
+            engine = engine.max_total_ops(ops).panic_on_budget(false);
+        }
+        #[cfg(feature = "check")]
+        engine.install_checker(algo.checker(k, alloc.total()).unwrap());
+        engine.run_pool_sharded(&mut RandomPolicy::new(seed), &mut pool, 4);
+        let Metrics {
+            trials,
+            total_ops,
+            reads,
+            writes,
+            max_steps,
+            adversary_crashes,
+            budget_crashes,
+            max_contention,
+            ops_per_register,
+            shard_ops,
+            shard_contention,
+            snapshot,
+            checker_ops,
+            checker_violations,
+        } = engine.metrics().clone();
+        assert_eq!(snapshot, SnapArenaStats::default());
+        let trace = engine
+            .trace()
+            .expect("trace recorded")
+            .iter()
+            .flat_map(|op| {
+                [
+                    op.pid.0 as u64,
+                    u64::from(op.kind == OpKind::Write),
+                    op.reg.0 as u64,
+                    op.step_index,
+                ]
+            });
+        let results = format!("{:?}", pool.results());
+        let run = digest(
+            trace
+                .chain(results.bytes().map(u64::from))
+                .chain(pool.steps().iter().copied())
+                .chain(ops_per_register)
+                .chain(shard_ops)
+                .chain(shard_contention.into_iter().map(|c| c as u64)),
+        );
+        let scalars = [
+            trials,
+            total_ops,
+            reads,
+            writes,
+            max_steps,
+            adversary_crashes as u64,
+            budget_crashes as u64,
+            max_contention as u64,
+            checker_ops,
+            checker_violations,
+        ];
+        (run, scalars)
+    }
+
+    /// The sharded grant loop's schedules, results and metrics, frozen
+    /// from the loop that kept its own copy of the per-op grant body;
+    /// the last case blows its operation budget. The checked counts are
+    /// those of `--features check`, where the installed checker
+    /// validates every granted operation; without it they read 0.
+    #[test]
+    fn sharded_grant_loop_reproduces_its_goldens() {
+        let cases = [
+            (
+                16,
+                1,
+                None,
+                0xb1a7_0799_b2b8_9562,
+                [1, 81, 49, 32, 6, 0, 0, 1, 81, 0],
+            ),
+            (
+                37,
+                2,
+                None,
+                0x0175_dcfd_71dc_77e8,
+                [1, 198, 120, 78, 10, 0, 0, 2, 198, 0],
+            ),
+            (
+                64,
+                3,
+                None,
+                0x5e00_c685_fb74_1a14,
+                [1, 381, 240, 141, 13, 0, 0, 2, 381, 0],
+            ),
+            (
+                64,
+                4,
+                Some(300),
+                0x2673_998d_fb8a_cbaa,
+                [1, 300, 187, 113, 10, 0, 30, 2, 300, 0],
+            ),
+        ];
+        for (k, seed, budget, run, mut scalars) in cases {
+            if !cfg!(feature = "check") {
+                scalars[8] = 0;
+            }
+            assert_eq!(
+                sharded_trial(k, seed, budget),
+                (run, scalars),
+                "k = {k}, seed {seed}, budget {budget:?}"
+            );
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub use service::mega::{
     MegaServiceConfig, MegaServiceHarness, MegaServiceReport, MegaServiceWorld,
 };
 pub use service::{
-    snapshot_holders, Admission, Arrivals, ServiceConfig, ServiceHarness, ServiceReport,
-    ServiceWorld, StepHistogram, Totals, WindowRow,
+    snapshot_holders, Admission, Arrivals, ServiceConfig, ServiceReport, ServiceWorld,
+    StepHistogram, Totals, WindowRow,
 };
 pub use soa::{MachineBank, MajoritySoa};

@@ -1,22 +1,22 @@
-//! Mega-scale sharded service: per-shard admission controllers with a
-//! global telemetry roll-up, slab-backed for 10⁴+ concurrent slots.
+//! The service harness: per-shard admission controllers with a global
+//! telemetry roll-up, from one shard up to 10⁴+ concurrent slots.
 //!
-//! The unsharded [`ServiceHarness`](super::ServiceHarness) drives one
-//! internal `ShardState` — one world, one admission controller, one
-//! arrival stream. This module scales the serving layer the way a real
+//! One shard is one internal `ShardState` — one world, one admission
+//! controller, one arrival stream — and a single service is the fleet
+//! of one shard. This module scales the serving layer the way a real
 //! fleet does: `shards` independent admission controllers, each with
 //! its own shared-memory world ([`ServiceWorld`] per shard), its own
-//! [`SlabBank`] register file, its own bounded queue, backoff heap and
-//! fault injector, each running on **its own clock**. An arriving
-//! client belongs to exactly one shard (each shard draws its own seeded
-//! arrival stream — see below), contends only against that shard's
-//! slots, and every counter lands twice: in the shard's own [`Totals`]
-//! and in the shared telemetry sink — so per-shard accounting provably
-//! sums to the global roll-up, and windows and quantiles are
-//! fleet-wide, not per-shard fragments.
+//! [`ArcBank`](exsel_shm::ArcBank) register file, its own bounded
+//! queue, backoff heap and fault injector, each running on **its own
+//! clock**. An arriving client belongs to exactly one shard (each shard
+//! draws its own seeded arrival stream — see below), contends only
+//! against that shard's slots, and every counter lands twice: in the
+//! shard's own [`Totals`] and in the shared telemetry sink — so
+//! per-shard accounting provably sums to the global roll-up, and windows
+//! and quantiles are fleet-wide, not per-shard fragments.
 //!
 //! A shard's register file costs memory only for the registers the
-//! shard writes: [`SlabBank`] materializes on first write, and the
+//! shard writes: the bank materializes on first write, and the
 //! adaptive objects (store&collect, the deposit arena) touch a
 //! contention-sized prefix of their registers, so a fleet of lightly
 //! loaded shards with large arenas holds a small fraction of its
@@ -25,15 +25,14 @@
 //! # Clock and scheduling
 //!
 //! Execution is **shard-major**: [`MegaServiceHarness::run_until`]
-//! drives shard 0 on its own clock — the same grant cycle as the
-//! unsharded harness, one operation per tick, fast-forwarding its own
-//! idle gaps — until it has completed its share of the target, then
-//! shard 1, and so on. Shards never touch each other's registers, so a
-//! shard's trajectory is the one it would follow in any interleaving
-//! with the others — including every shard ticking together on one
-//! fleet clock — and while it runs, its whole working set stays hot in
-//! cache. The fleet pays only at the shared boundaries: the telemetry
-//! window merge and the final roll-up.
+//! drives shard 0 on its own clock — one operation per tick,
+//! fast-forwarding its own idle gaps — until it has completed its share
+//! of the target, then shard 1, and so on. Shards never touch each
+//! other's registers, so a shard's trajectory is the one it would follow
+//! in any interleaving with the others — including every shard ticking
+//! together on one fleet clock — and while it runs, its whole working
+//! set stays hot in cache. The fleet pays only at the shared boundaries:
+//! the telemetry window merge and the final roll-up.
 //!
 //! * **Share stop rule.** Shard `s` runs until it has completed
 //!   `share(n, s)` of a target of `n` sessions — `n / shards`, plus one
@@ -67,9 +66,8 @@
 //! ≥ 1 step) distorts *less* than the unsharded stream — and the fleet
 //! can absorb up to `shards` arrivals per step where one stream is
 //! capped at one. With `shards = 1` the thinning factor is ×1.0 and the
-//! seed salt is 0, so the mega harness reproduces the unsharded run
-//! **bit-identically** — totals, every window row, every ticket
-//! (`tests/crash_semantics.rs` proves this differentially).
+//! seed salt is 0, so the one shard runs the base configuration exactly
+//! (`tests/service_mega.rs` freezes such a run among its goldens).
 //!
 //! # Ticket namespacing
 //!
@@ -108,8 +106,6 @@
 //! assert!(mega.report.accounted());
 //! assert!(mega.rolled_up());
 //! ```
-
-use exsel_shm::{RegisterBank, SlabBank};
 
 use super::{
     snapshot_holders, Arrivals, ServiceConfig, ServiceReport, ServiceWorld, ShardState, Telemetry,
@@ -207,7 +203,11 @@ pub struct MegaServiceWorld {
 }
 
 impl MegaServiceWorld {
-    /// Builds every shard's world.
+    /// Builds every shard's world, with each snapshot arena reserved past
+    /// any live-buffer high-water a `slots`-bounded run can reach
+    /// ([`snapshot_holders`]): even the first contention excursion deep
+    /// into a run stays allocation-free, where warm-up alone only covers
+    /// the high-water it happened to visit.
     ///
     /// # Panics
     ///
@@ -250,8 +250,8 @@ impl MegaServiceWorld {
     }
 }
 
-/// The result of a sharded run: the global roll-up (identical in shape
-/// to an unsharded report) plus every shard's own totals.
+/// The result of a run: the global roll-up (a [`ServiceReport`]) plus
+/// every shard's own totals.
 #[derive(Clone, Debug)]
 pub struct MegaServiceReport {
     /// The fleet-wide roll-up: global totals, global windows (gauges
@@ -284,59 +284,39 @@ impl MegaServiceReport {
     }
 }
 
-/// The sharded open-loop harness; see the module docs. Defaults to the
-/// [`SlabBank`] backend — the mega scale is exactly what the slab
-/// register file exists for.
-pub struct MegaServiceHarness<'w, B: RegisterBank = SlabBank> {
+/// The open-loop service harness; see the module docs. Borrows the
+/// worlds (machines hold references into the shared objects) and owns
+/// every shard's register bank, clock and waiting-room structures. A
+/// single service is `MegaServiceConfig { base, shards: 1 }`.
+pub struct MegaServiceHarness<'w> {
     cfg: MegaServiceConfig,
-    shards: Vec<ShardState<'w, B>>,
+    shards: Vec<ShardState<'w>>,
     tel: Telemetry,
 }
 
-impl<'w> MegaServiceHarness<'w, SlabBank> {
-    /// Builds a harness over per-shard [`SlabBank`]s, pre-seeding each
-    /// slab's snapshot slots past the shard's live-buffer high-water
-    /// (the [`snapshot_holders`] bound the world's snapshot arenas
-    /// reserve) so steady state stays allocation-free from the first
-    /// session.
-    #[must_use]
-    pub fn new(world: &'w MegaServiceWorld, cfg: &MegaServiceConfig) -> Self {
-        let banks = (0..cfg.shards)
-            .map(|_| {
-                let mut bank = SlabBank::new();
-                bank.reserve_slots(snapshot_holders(cfg.base.slots));
-                bank
-            })
-            .collect();
-        MegaServiceHarness::with_banks(world, cfg, banks)
-    }
-}
-
-impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
-    /// Builds a harness over caller-chosen register banks, one per
-    /// shard.
+impl<'w> MegaServiceHarness<'w> {
+    /// Builds a harness over `world`, one register bank per shard.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.shards == 0`, the world or bank count disagrees
-    /// with the shard count, or any shard configuration is inconsistent
-    /// (see [`super::ServiceHarness::with_bank`]).
+    /// Panics if `cfg.shards == 0`, the world was built for a different
+    /// shard count, or the shard configuration is inconsistent (no
+    /// slots, a zero window, an in-flight bound of zero or above the
+    /// slot count, or a crash hazard outside `[0, 1]`).
     #[must_use]
-    pub fn with_banks(world: &'w MegaServiceWorld, cfg: &MegaServiceConfig, banks: Vec<B>) -> Self {
+    pub fn new(world: &'w MegaServiceWorld, cfg: &MegaServiceConfig) -> Self {
         assert!(cfg.shards > 0, "need at least one shard");
         assert_eq!(
             world.worlds.len(),
             cfg.shards,
             "world built for a different shard count"
         );
-        assert_eq!(banks.len(), cfg.shards, "need one register bank per shard");
         let step = cfg.shards as u64;
         let shards = world
             .worlds
             .iter()
-            .zip(banks)
             .enumerate()
-            .map(|(s, (w, bank))| ShardState::new(w, &cfg.shard_cfg(s), bank, s as u64, step))
+            .map(|(s, w)| ShardState::new(w, &cfg.shard_cfg(s), s as u64, step))
             .collect();
         MegaServiceHarness {
             cfg: *cfg,
@@ -345,12 +325,18 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
         }
     }
 
-    /// Pre-registers every slot of every shard (see
-    /// [`super::ServiceHarness::prime`]): at mega scale slots keep
-    /// being first-touched deep into a run — a concurrency excursion
-    /// binding shard 900's third slot an hour in would otherwise pay
-    /// that slot's one-time registration buffers mid-measurement — so
-    /// zero-alloc gates prime the fleet before warm-up.
+    /// Pre-registers every slot's store&collect infrastructure (slot
+    /// rename, controls, collect caches) on every shard before the run,
+    /// so the slot machinery's one-time buffer growth cannot land inside
+    /// a measured steady-state segment. At fleet scale slots keep being
+    /// first-touched deep into a run — a concurrency excursion binding
+    /// shard 900's third slot an hour in would otherwise pay that slot's
+    /// one-time registration buffers mid-measurement — so zero-alloc
+    /// gates prime before warm-up. Optional: an unprimed run warms the
+    /// same state lazily. Priming performs real register writes, so a
+    /// primed run is **not** bit-identical to an unprimed one; it is
+    /// infrastructure only — no arrivals, ops, telemetry or ticket
+    /// state.
     pub fn prime(&mut self) {
         for shard in &mut self.shards {
             shard.prime();
@@ -358,8 +344,12 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
     }
 
     /// Installs one dynamic footprint checker per shard (shards never
-    /// share registers, so per-shard checkers are exact). Build each
-    /// checker from the matching [`MegaServiceWorld`] shard world.
+    /// share registers, so per-shard checkers are exact): every
+    /// subsequently granted (or primed) operation is validated against
+    /// the world's declared footprint. Build each checker from the
+    /// matching [`MegaServiceWorld`] shard world with
+    /// [`exsel_analysis::AccessChecker::for_instance`] (`n` = slot
+    /// count, `num_registers` = the shard world's register count).
     ///
     /// # Panics
     ///
@@ -389,9 +379,21 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
             .sum()
     }
 
+    /// Operations the installed checkers validated, summed over every
+    /// shard; 0 when none are installed.
+    #[cfg(feature = "check")]
+    #[must_use]
+    pub fn checker_ops(&self) -> u64 {
+        self.shards
+            .iter()
+            .filter_map(|s| s.checker.as_ref())
+            .map(exsel_analysis::AccessChecker::trial_ops)
+            .sum()
+    }
+
     /// Runs the fleet to its stopping condition (fleet-wide session
-    /// target reached, every shard drained, or horizon) and returns the
-    /// report.
+    /// target reached, arrivals exhausted and every shard drained, or
+    /// horizon) and returns the report.
     pub fn run(mut self) -> MegaServiceReport {
         let target = match self.cfg.base.target_sessions {
             0 => u64::MAX,
@@ -482,8 +484,9 @@ impl<'w, B: RegisterBank> MegaServiceHarness<'w, B> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Admission, ServiceHarness};
+    use super::super::Admission;
     use super::*;
+    use exsel_shm::RegisterBank;
     use std::collections::BTreeSet;
 
     fn base_cfg(seed: u64, clients: u64, hazard: f64) -> ServiceConfig {
@@ -505,21 +508,6 @@ mod tests {
             },
             ..ServiceConfig::default()
         }
-    }
-
-    #[test]
-    fn single_shard_matches_unsharded_bit_for_bit() {
-        let base = base_cfg(17, 400, 0.004);
-        let cfg = MegaServiceConfig { base, shards: 1 };
-        let mega_world = MegaServiceWorld::new(&cfg);
-        let mega = MegaServiceHarness::new(&mega_world, &cfg).run();
-        let world = ServiceWorld::new(&base);
-        let flat = ServiceHarness::new(&world, &base).run();
-        assert_eq!(mega.report.totals, flat.totals);
-        assert_eq!(mega.report.windows, flat.windows);
-        assert_eq!(mega.report.names, flat.names);
-        assert_eq!(mega.report.in_system, flat.in_system);
-        assert_eq!(mega.shard_totals, vec![flat.totals]);
     }
 
     #[test]
@@ -596,7 +584,7 @@ mod tests {
         mega.run_until(u64::MAX);
         assert_eq!(mega.completed(), 400);
         for (s, shard) in mega.shards.iter().enumerate() {
-            let (touched, len) = (shard.bank.materialized(), shard.bank.len());
+            let (touched, len) = (shard.bank.words().len(), shard.bank.len());
             assert!(len > 1 << 13, "shard {s}: {len} registers");
             assert!(touched > 0, "shard {s} wrote nothing");
             assert!(

@@ -13,13 +13,17 @@
 //! sessions by a configurable per-step hazard and forces the client to
 //! re-enter as a fresh contender.
 //!
-//! The harness is built from the same parts as the engine — pooled
-//! [`StepMachine`]s over a [`RegisterBank`], one shared-memory operation
-//! per granted step, every random choice drawn from seeded [`SmallRng`]
-//! streams (the policy RNG discipline) — but owns its own grant loop,
-//! because open-loop membership (slots bind, free, and re-bind clients
-//! mid-run) is exactly what the engine's closed trial cannot express.
-//! All machines are built once per slot and re-armed in place, so the
+//! One harness runs every service: [`mega::MegaServiceHarness`], a
+//! fleet of `shards` independent admission shards. A single service is
+//! the fleet of one shard (`MegaServiceConfig { base, shards: 1 }`),
+//! which runs `base` exactly as configured. Each shard is built from the
+//! same parts as the engine — pooled [`StepMachine`]s over an
+//! [`ArcBank`] register file, one shared-memory operation per granted
+//! step, every random choice drawn from seeded [`SmallRng`] streams (the
+//! policy RNG discipline) — but owns its own grant loop, because
+//! open-loop membership (slots bind, free, and re-bind clients mid-run)
+//! is exactly what the engine's closed trial cannot express. All
+//! machines are built once per slot and re-armed in place, so the
 //! steady state performs **zero heap allocations**; telemetry is plain
 //! `u64` rows ([`WindowRow`]) pushed into a pre-sized buffer, so a run
 //! is bit-identical per seed.
@@ -40,9 +44,10 @@
 //! # Example
 //!
 //! ```
-//! use exsel_sim::service::{Admission, Arrivals, ServiceConfig, ServiceHarness, ServiceWorld};
+//! use exsel_sim::service::mega::{MegaServiceConfig, MegaServiceHarness, MegaServiceWorld};
+//! use exsel_sim::service::{Admission, ServiceConfig};
 //!
-//! let cfg = ServiceConfig {
+//! let base = ServiceConfig {
 //!     seed: 7,
 //!     slots: 4,
 //!     target_sessions: 200,
@@ -53,8 +58,10 @@
 //!     },
 //!     ..ServiceConfig::default()
 //! };
-//! let world = ServiceWorld::new(&cfg);
-//! let report = ServiceHarness::new(&world, &cfg).run();
+//! // One shard: the service exactly as `base` describes it.
+//! let cfg = MegaServiceConfig { base, shards: 1 };
+//! let world = MegaServiceWorld::new(&cfg);
+//! let report = MegaServiceHarness::new(&world, &cfg).run().report;
 //! assert!(report.totals.completed >= 200);
 //! // Completed sessions hold pairwise-distinct tickets.
 //! let mut names = report.names.clone();
@@ -288,9 +295,8 @@ pub struct ServiceWorld {
 /// record (the one a scan returned, the one its cache is tagged with) —
 /// 96 at the default 8 slots.
 ///
-/// [`ServiceWorld::new`] reserves this many records in each snapshot
-/// arena, plus as many views besides the records' own, and
-/// [`mega::MegaServiceHarness::new`] as many slab slots per shard, so a
+/// [`mega::MegaServiceWorld::new`] reserves this many records in each
+/// snapshot arena, plus as many views besides the records' own, so a
 /// `slots`-bounded run never grows either mid-run.
 #[must_use]
 pub fn snapshot_holders(slots: usize) -> usize {
@@ -298,20 +304,6 @@ pub fn snapshot_holders(slots: usize) -> usize {
 }
 
 impl ServiceWorld {
-    /// Builds the world for `cfg`, with each snapshot arena reserved
-    /// past any live-buffer high-water a `slots`-bounded run can reach
-    /// ([`snapshot_holders`]): even the first contention excursion deep
-    /// into a run stays allocation-free, where warm-up alone only covers
-    /// the high-water it happened to visit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.slots == 0`.
-    #[must_use]
-    pub fn new(cfg: &ServiceConfig) -> Self {
-        ServiceWorld::with_snapshot_reserve(cfg, snapshot_holders(cfg.slots))
-    }
-
     /// Builds the world for `cfg` with `reserve` records (and `reserve`
     /// views besides the records' own) pre-seeded in each snapshot
     /// arena; 0 lets the arenas grow on demand, which is how the bound
@@ -614,11 +606,10 @@ struct Slot<'w> {
 
 /// The telemetry sink of a service run: global counter totals, the
 /// open windows' counter deltas, gauges and histograms, the emitted
-/// window rows, the whole-run histograms and the ticket audit. The
-/// unsharded harness owns exactly one; a sharded run ([`mega`])
-/// aggregates every shard into one shared sink, which is what makes its
-/// windows and totals a *global roll-up* rather than per-shard
-/// fragments.
+/// window rows, the whole-run histograms and the ticket audit. A run
+/// ([`mega`]) aggregates every shard into one shared sink, which is
+/// what makes its windows and totals a *global roll-up* rather than
+/// per-shard fragments.
 ///
 /// Each shard runs on its own clock and records into the window that
 /// clock is in, so several windows can be open at once. A window closes
@@ -841,15 +832,15 @@ impl Telemetry {
 /// The per-shard control plane of a service run: the slot slab, the
 /// free/active lists, the admission queue, the backoff timer heap, the
 /// four seeded RNG streams, the shard's own clock and window cursor,
-/// and its own counter totals. [`ShardState::advance`] is the one grant
-/// cycle of the service layer: the unsharded [`ServiceHarness`] is
-/// exactly one shard, and [`mega::MegaServiceHarness`] runs a vector of
-/// them shard-major — each on its own clock, one after the other —
-/// against one shared [`Telemetry`] sink. Shards share no registers, so
-/// a shard's trajectory does not depend on when its neighbours run.
-/// Every counter increments both the shard's [`Totals`] and the sink's,
-/// so per-shard accounting provably sums to the roll-up.
-struct ShardState<'w, B: RegisterBank> {
+/// its own [`ArcBank`] register file and its own counter totals.
+/// [`ShardState::advance`] is the one grant cycle of the service layer:
+/// [`mega::MegaServiceHarness`] runs a vector of shards shard-major —
+/// each on its own clock, one after the other — against one shared
+/// [`Telemetry`] sink; a single service is a vector of one. Shards share
+/// no registers, so a shard's trajectory does not depend on when its
+/// neighbours run. Every counter increments both the shard's [`Totals`]
+/// and the sink's, so per-shard accounting provably sums to the roll-up.
+struct ShardState<'w> {
     cfg: ServiceConfig,
     /// The shard's service clock.
     now: u64,
@@ -861,7 +852,7 @@ struct ShardState<'w, B: RegisterBank> {
     /// Set once the shard drained for good (no arrivals, timers, queue
     /// or active session left); telemetry then counts it as passed.
     retired: bool,
-    bank: B,
+    bank: ArcBank,
     slots: Vec<Slot<'w>>,
     free: Vec<usize>,
     active: Vec<usize>,
@@ -880,10 +871,10 @@ struct ShardState<'w, B: RegisterBank> {
     waiting: usize,
     totals: Totals,
     /// Completed tickets are published to the audit as
-    /// `ticket * ticket_step + ticket_base` — the identity map for the
-    /// unsharded harness (step 1, base 0), shard-namespaced for mega
-    /// runs so tickets stay globally exclusive across the shards'
-    /// independent naming objects.
+    /// `ticket * ticket_step + ticket_base` — the identity map for a
+    /// single shard (step 1, base 0), shard-namespaced for a fleet so
+    /// tickets stay globally exclusive across the shards' independent
+    /// naming objects.
     ticket_step: u64,
     ticket_base: u64,
     /// The shard's dynamic footprint checker, if one is installed —
@@ -893,15 +884,6 @@ struct ShardState<'w, B: RegisterBank> {
     /// run checking.
     #[cfg(feature = "check")]
     checker: Option<exsel_analysis::AccessChecker>,
-}
-
-/// The open-loop service harness; see the module docs. Borrows the
-/// world (machines hold references into the shared objects) and owns
-/// the register bank, the clock, and every waiting-room structure.
-pub struct ServiceHarness<'w, B: RegisterBank = ArcBank> {
-    cfg: ServiceConfig,
-    shard: ShardState<'w, B>,
-    tel: Telemetry,
 }
 
 /// A [`Client`] packed into plain integers so the timer heap's ordering
@@ -916,7 +898,7 @@ struct ClientBits {
 
 const NOT_ACTIVE: usize = usize::MAX;
 
-impl<'w, B: RegisterBank> ShardState<'w, B> {
+impl<'w> ShardState<'w> {
     /// Builds one shard over `world` with its own register bank.
     /// Completed tickets are published as
     /// `ticket * ticket_step + ticket_base`.
@@ -924,22 +906,28 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (no slots, a zero
-    /// window, or an in-flight bound above the slot count).
+    /// window, an in-flight bound of zero or above the slot count, or a
+    /// crash hazard outside `[0, 1]`).
     fn new(
         world: &'w ServiceWorld,
         cfg: &ServiceConfig,
-        mut bank: B,
         ticket_base: u64,
         ticket_step: u64,
     ) -> Self {
         assert!(cfg.slots > 0, "need at least one client slot");
         assert!(cfg.window > 0, "telemetry window must be positive");
         assert!(
-            cfg.admission.max_inflight <= cfg.slots,
-            "in-flight bound {} above the {} slots",
+            (1..=cfg.slots).contains(&cfg.admission.max_inflight),
+            "in-flight bound {} outside [1, {}] (the slot count)",
             cfg.admission.max_inflight,
             cfg.slots
         );
+        assert!(
+            (0.0..=1.0).contains(&cfg.crash_hazard),
+            "crash hazard {} is not a probability",
+            cfg.crash_hazard
+        );
+        let mut bank = ArcBank::new();
         bank.reset(world.registers);
         let slots: Vec<Slot<'w>> = (0..cfg.slots)
             .map(|p| Slot {
@@ -1422,121 +1410,9 @@ impl<'w, B: RegisterBank> ShardState<'w, B> {
     }
 }
 
-impl<'w> ServiceHarness<'w, ArcBank> {
-    /// Builds a harness over the default [`ArcBank`] backend.
-    #[must_use]
-    pub fn new(world: &'w ServiceWorld, cfg: &ServiceConfig) -> Self {
-        ServiceHarness::with_bank(world, cfg, ArcBank::new())
-    }
-}
-
-impl<'w, B: RegisterBank> ServiceHarness<'w, B> {
-    /// Builds a harness over a caller-chosen register-bank backend
-    /// (`SlabBank` for mega runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent (no slots, a zero
-    /// window, or an in-flight bound above the slot count).
-    #[must_use]
-    pub fn with_bank(world: &'w ServiceWorld, cfg: &ServiceConfig, bank: B) -> Self {
-        ServiceHarness {
-            cfg: *cfg,
-            shard: ShardState::new(world, cfg, bank, 0, 1),
-            tel: Telemetry::new(cfg, 1),
-        }
-    }
-
-    /// Pre-registers every slot's store&collect infrastructure (slot
-    /// rename, controls, collect caches) before the run, so the slot
-    /// machinery's one-time buffer growth cannot land inside a measured
-    /// steady-state segment. Optional: an unprimed run warms the same
-    /// state lazily across its first sessions. Priming performs real
-    /// register writes, so a primed run is **not** bit-identical to an
-    /// unprimed one; it is infrastructure only — no arrivals, ops,
-    /// telemetry or ticket state.
-    pub fn prime(&mut self) {
-        self.shard.prime();
-    }
-
-    /// Installs a dynamic footprint checker over this harness's shard:
-    /// every subsequently granted (or primed) operation is validated
-    /// against the world's declared footprint. Build the checker from
-    /// the same world with [`exsel_analysis::AccessChecker::for_instance`]
-    /// (`n` = slot count, `num_registers` = the world's register count).
-    #[cfg(feature = "check")]
-    pub fn install_checker(&mut self, mut checker: exsel_analysis::AccessChecker) {
-        checker.begin_trial();
-        self.shard.checker = Some(checker);
-    }
-
-    /// Shared access to the installed checker (violation reports,
-    /// op counts); `None` when no checker is installed.
-    #[cfg(feature = "check")]
-    #[must_use]
-    pub fn checker(&self) -> Option<&exsel_analysis::AccessChecker> {
-        self.shard.checker.as_ref()
-    }
-
-    /// Total footprint violations observed since the checker was
-    /// installed; 0 when no checker is installed.
-    #[cfg(feature = "check")]
-    #[must_use]
-    pub fn checker_violations(&self) -> u64 {
-        self.shard
-            .checker
-            .as_ref()
-            .map_or(0, exsel_analysis::AccessChecker::trial_violations)
-    }
-
-    /// Runs the configured service to its stopping condition (session
-    /// target reached, arrivals exhausted and system drained, or
-    /// horizon) and returns the report.
-    pub fn run(mut self) -> ServiceReport {
-        let target = match self.cfg.target_sessions {
-            0 => u64::MAX,
-            t => t,
-        };
-        self.run_until(target);
-        self.finish()
-    }
-
-    /// Drives the service until `sessions` sessions have completed (an
-    /// absolute count, not a delta). Returns `false` when the run ended
-    /// first — horizon reached, or arrivals exhausted and the system
-    /// drained. Benchmarks use this to separate a warm-up segment from
-    /// a measured steady-state segment before calling
-    /// [`ServiceHarness::finish`].
-    pub fn run_until(&mut self, sessions: u64) -> bool {
-        self.shard.run_until(sessions, &mut self.tel)
-    }
-
-    /// Sessions completed so far.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.tel.totals.completed
-    }
-
-    /// Granted shared-memory operations so far.
-    #[must_use]
-    pub fn ops(&self) -> u64 {
-        self.tel.totals.ops
-    }
-
-    /// Emits the final partial window and assembles the report.
-    pub fn finish(self) -> ServiceReport {
-        let shard = &self.shard;
-        self.tel.finish(
-            shard.now,
-            shard.final_gauges().into_iter(),
-            shard.in_system(),
-        )
-    }
-}
-
 /// One grant: perform the machine's pending operation against `bank`
 /// and advance it — the service-harness form of the engine's grant.
-fn step_machine<B: RegisterBank, M: StepMachine>(bank: &mut B, m: &mut M) -> Poll<M::Output> {
+fn step_machine<M: StepMachine>(bank: &mut ArcBank, m: &mut M) -> Poll<M::Output> {
     match m.op() {
         ShmOp::Read(reg) => {
             let word = bank.read(reg);
@@ -1551,8 +1427,29 @@ fn step_machine<B: RegisterBank, M: StepMachine>(bank: &mut B, m: &mut M) -> Pol
 
 #[cfg(test)]
 mod tests {
+    use super::mega::{MegaServiceConfig, MegaServiceHarness, MegaServiceWorld};
     use super::*;
     use std::collections::BTreeSet;
+
+    /// Runs `cfg` as a fleet of one shard.
+    fn run(cfg: &ServiceConfig) -> ServiceReport {
+        let cfg = MegaServiceConfig {
+            base: *cfg,
+            shards: 1,
+        };
+        let world = MegaServiceWorld::new(&cfg);
+        MegaServiceHarness::new(&world, &cfg).run().report
+    }
+
+    /// Builds the one-shard harness for `cfg` and drops it unrun.
+    fn build(cfg: &ServiceConfig) {
+        let cfg = MegaServiceConfig {
+            base: *cfg,
+            shards: 1,
+        };
+        let world = MegaServiceWorld::new(&cfg);
+        let _ = MegaServiceHarness::new(&world, &cfg);
+    }
 
     fn small_cfg(seed: u64) -> ServiceConfig {
         ServiceConfig {
@@ -1576,8 +1473,7 @@ mod tests {
     #[test]
     fn completes_target_sessions_with_exclusive_tickets() {
         let cfg = small_cfg(3);
-        let world = ServiceWorld::new(&cfg);
-        let report = ServiceHarness::new(&world, &cfg).run();
+        let report = run(&cfg);
         assert!(report.totals.completed >= 300);
         assert!(report.accounted(), "{:?}", report.totals);
         let set: BTreeSet<u64> = report.names.iter().copied().collect();
@@ -1592,10 +1488,8 @@ mod tests {
     #[test]
     fn same_seed_is_bit_identical() {
         let cfg = small_cfg(11);
-        let world_a = ServiceWorld::new(&cfg);
-        let a = ServiceHarness::new(&world_a, &cfg).run();
-        let world_b = ServiceWorld::new(&cfg);
-        let b = ServiceHarness::new(&world_b, &cfg).run();
+        let a = run(&cfg);
+        let b = run(&cfg);
         assert_eq!(a.totals, b.totals);
         assert_eq!(a.windows, b.windows);
         assert_eq!(a.names, b.names);
@@ -1603,10 +1497,8 @@ mod tests {
 
     #[test]
     fn different_seeds_diverge() {
-        let world = ServiceWorld::new(&small_cfg(0));
-        let a = ServiceHarness::new(&world, &small_cfg(0)).run();
-        let world_b = ServiceWorld::new(&small_cfg(1));
-        let b = ServiceHarness::new(&world_b, &small_cfg(1)).run();
+        let a = run(&small_cfg(0));
+        let b = run(&small_cfg(1));
         assert_ne!(a.windows, b.windows);
     }
 
@@ -1616,8 +1508,7 @@ mod tests {
         cfg.crash_hazard = 0.01;
         cfg.arrivals = Arrivals::Poisson { mean_gap: 6.0 };
         cfg.target_sessions = 200;
-        let world = ServiceWorld::new(&cfg);
-        let report = ServiceHarness::new(&world, &cfg).run();
+        let report = run(&cfg);
         assert!(report.totals.crashes > 0, "hazard never fired");
         assert!(report.totals.reentries > 0, "no crashed client re-entered");
         assert!(report.accounted(), "{:?}", report.totals);
@@ -1635,8 +1526,7 @@ mod tests {
         cfg.target_sessions = 0;
         cfg.max_clients = 150;
         cfg.crash_hazard = 0.005;
-        let world = ServiceWorld::new(&cfg);
-        let report = ServiceHarness::new(&world, &cfg).run();
+        let report = run(&cfg);
         assert_eq!(report.totals.arrivals, 150);
         assert_eq!(report.in_system, 0, "did not drain: {:?}", report.totals);
         assert_eq!(
@@ -1656,8 +1546,7 @@ mod tests {
         cfg.admission.waiting_capacity = 8;
         cfg.admission.max_retries = 2;
         cfg.target_sessions = 150;
-        let world = ServiceWorld::new(&cfg);
-        let report = ServiceHarness::new(&world, &cfg).run();
+        let report = run(&cfg);
         assert!(report.totals.shed > 0, "overload never shed");
         assert!(report.totals.rejected > 0, "no client was rejected");
         assert!(report.accounted());
@@ -1680,11 +1569,35 @@ mod tests {
             let mut cfg = small_cfg(21);
             cfg.arrivals = arrivals;
             cfg.target_sessions = 100;
-            let world = ServiceWorld::new(&cfg);
-            let report = ServiceHarness::new(&world, &cfg).run();
+            let report = run(&cfg);
             assert!(report.totals.completed >= 100, "{arrivals:?}");
             assert!(report.accounted(), "{arrivals:?}");
         }
+    }
+
+    /// An in-flight bound of zero admits nobody: with a session target
+    /// and unbounded arrivals the run would spin to the horizon.
+    #[test]
+    #[should_panic(expected = "in-flight bound 0 outside")]
+    fn zero_in_flight_bound_is_rejected() {
+        let mut cfg = small_cfg(1);
+        cfg.admission.max_inflight = 0;
+        build(&cfg);
+    }
+
+    /// A hazard above 1 would panic at the first granted step, and a NaN
+    /// one would silently disable crashes.
+    #[test]
+    #[should_panic(expected = "not a probability")]
+    fn crash_hazard_must_be_a_probability() {
+        let mut cfg = small_cfg(1);
+        cfg.crash_hazard = f64::NAN;
+        assert!(
+            std::panic::catch_unwind(|| build(&cfg)).is_err(),
+            "NaN hazard accepted"
+        );
+        cfg.crash_hazard = 1.5;
+        build(&cfg);
     }
 
     #[test]
@@ -1712,8 +1625,7 @@ mod tests {
     #[test]
     fn windows_tile_the_clock() {
         let cfg = small_cfg(2);
-        let world = ServiceWorld::new(&cfg);
-        let report = ServiceHarness::new(&world, &cfg).run();
+        let report = run(&cfg);
         for (i, w) in report.windows.iter().enumerate() {
             assert_eq!(w.window, i as u64);
             if i > 0 {

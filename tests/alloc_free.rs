@@ -33,9 +33,7 @@ use exclusive_selection::sim::policy::{RandomPolicy, RoundRobin};
 use exclusive_selection::sim::service::mega::{
     MegaServiceConfig, MegaServiceHarness, MegaServiceWorld,
 };
-use exclusive_selection::sim::service::{
-    Admission, Arrivals, ServiceConfig, ServiceHarness, ServiceWorld,
-};
+use exclusive_selection::sim::service::{Admission, Arrivals, ServiceConfig};
 use exclusive_selection::sim::{
     explore_pool_sleep, AlgoSet, MachinePool, ReduceConfig, SetOutput, StepEngine,
 };
@@ -44,7 +42,7 @@ use exclusive_selection::{
 };
 use exsel_core::{SlotBank, SnapshotRenameOp};
 use exsel_shm::snapshot::UpdateOp;
-use exsel_shm::{RegId, SlabBank};
+use exsel_shm::RegId;
 use exsel_unbounded::{AltruisticDeposit, DepositOp, NamingMachine, UnboundedNaming};
 
 thread_local! {
@@ -514,33 +512,37 @@ fn steady_state_checked_trials_are_zero_alloc() {
     // And end to end: a checker-on service run is zero-alloc at steady
     // state too (the checker is installed before warm-up, so its only
     // allocations — the compiled tables — predate the window).
-    let scfg = ServiceConfig {
-        seed: 11,
-        target_sessions: 3_000,
-        ..ServiceConfig::default()
+    let scfg = MegaServiceConfig {
+        base: ServiceConfig {
+            seed: 11,
+            target_sessions: 3_000,
+            ..ServiceConfig::default()
+        },
+        shards: 1,
     };
-    let world = ServiceWorld::new(&scfg);
+    let world = MegaServiceWorld::new(&scfg);
+    let shard = &world.shard_worlds()[0];
     let checker = exclusive_selection::sim::AccessChecker::for_instance(
-        &world,
-        scfg.slots,
-        world.num_registers(),
+        shard,
+        scfg.base.slots,
+        shard.num_registers(),
     )
     .unwrap();
-    let mut harness = ServiceHarness::with_bank(&world, &scfg, SlabBank::new());
-    harness.install_checker(checker);
+    let mut harness = MegaServiceHarness::new(&world, &scfg);
+    harness.install_checkers(vec![checker]);
     harness.prime();
     assert!(
-        harness.run_until(scfg.target_sessions / 10),
+        harness.run_until(scfg.base.target_sessions / 10),
         "service drained during warm-up"
     );
     let (allocs, frees) = measured(|| {
         assert!(
-            harness.run_until(scfg.target_sessions),
+            harness.run_until(scfg.base.target_sessions),
             "service drained before reaching its session target"
         );
     });
     assert_eq!(harness.checker_violations(), 0);
-    assert!(harness.checker().unwrap().trial_ops() > 0);
+    assert!(harness.checker_ops() > 0);
     assert_eq!(
         (allocs, frees),
         (0, 0),
@@ -548,34 +550,38 @@ fn steady_state_checked_trials_are_zero_alloc() {
     );
 }
 
-/// The open-loop service harness end to end: Poisson arrivals, pooled
-/// acquire→store→collect→deposit sessions, admission control, and the
-/// windowed report, all running out of recycled buffers. `ServiceWorld`
-/// pre-seeds the snapshot arenas past any reachable live-buffer
-/// high-water, so after a short warm-up (free-list cursors settle, the
-/// report vectors are pre-reserved) the remaining ninety percent of the
-/// run must be literally zero-alloc and zero-free.
+/// The open-loop service harness end to end, one shard: Poisson
+/// arrivals, pooled acquire→store→collect→deposit sessions, admission
+/// control, and the windowed report, all running out of recycled
+/// buffers. `MegaServiceWorld` pre-seeds the snapshot arenas past any
+/// reachable live-buffer high-water, so after a short warm-up (free-list
+/// cursors settle, the report vectors are pre-reserved) the remaining
+/// ninety percent of the run must be literally zero-alloc and
+/// zero-free.
 #[test]
 fn steady_state_service_sessions_are_zero_alloc() {
-    let cfg = ServiceConfig {
-        seed: 11,
-        target_sessions: 6_000,
-        ..ServiceConfig::default()
+    let cfg = MegaServiceConfig {
+        base: ServiceConfig {
+            seed: 11,
+            target_sessions: 6_000,
+            ..ServiceConfig::default()
+        },
+        shards: 1,
     };
-    let world = ServiceWorld::new(&cfg);
-    let mut harness = ServiceHarness::with_bank(&world, &cfg, SlabBank::new());
+    let world = MegaServiceWorld::new(&cfg);
+    let mut harness = MegaServiceHarness::new(&world, &cfg);
     assert!(
-        harness.run_until(cfg.target_sessions / 10),
+        harness.run_until(cfg.base.target_sessions / 10),
         "service drained during warm-up"
     );
     let (allocs, frees) = measured(|| {
         assert!(
-            harness.run_until(cfg.target_sessions),
+            harness.run_until(cfg.base.target_sessions),
             "service drained before reaching its session target"
         );
     });
-    let report = harness.finish();
-    assert_eq!(report.totals.completed, cfg.target_sessions);
+    let report = harness.finish().report;
+    assert_eq!(report.totals.completed, cfg.base.target_sessions);
     assert!(report.accounted(), "accounting broke: {:?}", report.totals);
     assert_eq!(
         (allocs, frees),
@@ -584,13 +590,12 @@ fn steady_state_service_sessions_are_zero_alloc() {
     );
 }
 
-/// The sharded mega harness at 10⁴ concurrent slots (1250 shards × 8
-/// slots, per-shard `SlabBank`s with pre-seeded snapshot slots, one
-/// global telemetry sink): after warm-up settles every shard's
-/// free-list cursors, the remaining ninety percent of the fleet-wide
-/// run must be literally (0 allocs, 0 frees) — the PR 6 slab machinery
-/// carrying the PR 8 serving layer without a single steady-state heap
-/// touch.
+/// The sharded harness at 10⁴ concurrent slots (1250 shards × 8 slots,
+/// one register bank per shard, one global telemetry sink): after
+/// warm-up settles every shard's free-list cursors, the remaining
+/// ninety percent of the fleet-wide run must be literally (0 allocs,
+/// 0 frees) — the serving layer at fleet scale without a single
+/// steady-state heap touch.
 #[test]
 fn mega_service_steady_state_is_zero_alloc() {
     let cfg = MegaServiceConfig {

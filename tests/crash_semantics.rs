@@ -175,10 +175,18 @@ mod service_semantics {
     use exclusive_selection::sim::service::mega::{
         MegaServiceConfig, MegaServiceHarness, MegaServiceWorld,
     };
-    use exclusive_selection::sim::service::{
-        Admission, Arrivals, ServiceConfig, ServiceHarness, ServiceWorld,
-    };
+    use exclusive_selection::sim::service::{Admission, Arrivals, ServiceConfig, ServiceReport};
     use proptest::prelude::*;
+
+    /// Runs `cfg` as a fleet of one shard.
+    fn run(cfg: &ServiceConfig) -> ServiceReport {
+        let cfg = MegaServiceConfig {
+            base: *cfg,
+            shards: 1,
+        };
+        let world = MegaServiceWorld::new(&cfg);
+        MegaServiceHarness::new(&world, &cfg).run().report
+    }
 
     /// A randomized but always-drainable configuration: bounded
     /// arrivals, a horizon far past any plausible drain point, and a
@@ -236,8 +244,7 @@ mod service_semantics {
                 seed, slots, clients, mean_gap, hazard,
                 max_inflight, queue_capacity, waiting_capacity,
             );
-            let world = ServiceWorld::new(&cfg);
-            let report = ServiceHarness::new(&world, &cfg).run();
+            let report = run(&cfg);
 
             // Every client is accounted for, and the drain is total:
             // nobody is left in flight, queued, or waiting in backoff.
@@ -289,47 +296,11 @@ mod service_semantics {
             hazard in 0.0f64..0.008,
         ) {
             let cfg = storm_cfg(seed, 3, 80, 30.0, hazard, 2, 2, 8);
-            let world_a = ServiceWorld::new(&cfg);
-            let a = ServiceHarness::new(&world_a, &cfg).run();
-            let world_b = ServiceWorld::new(&cfg);
-            let b = ServiceHarness::new(&world_b, &cfg).run();
+            let a = run(&cfg);
+            let b = run(&cfg);
             prop_assert_eq!(a.totals, b.totals);
             prop_assert_eq!(a.windows, b.windows);
             prop_assert_eq!(a.names, b.names);
-        }
-
-        /// Differential determinism of the sharded harness: with
-        /// `shards = 1` the mega path must reproduce the unsharded
-        /// harness **bit for bit** — totals, every window row, every
-        /// ticket, the drain state — across random service shapes,
-        /// hazards and admission bounds. This is the refactor's safety
-        /// net: the sharded control plane is the only code path left,
-        /// so any divergence here is a behavior change.
-        #[test]
-        fn mega_single_shard_is_bit_identical_to_unsharded(
-            seed in 0u64..10_000,
-            slots in 2usize..6,
-            clients in 40u64..160,
-            mean_gap in 2.0f64..400.0,
-            hazard in 0.0f64..0.01,
-            max_inflight in 1usize..6,
-            queue_capacity in 0usize..6,
-            waiting_capacity in 1usize..32,
-        ) {
-            let cfg = storm_cfg(
-                seed, slots, clients, mean_gap, hazard,
-                max_inflight, queue_capacity, waiting_capacity,
-            );
-            let world = ServiceWorld::new(&cfg);
-            let flat = ServiceHarness::new(&world, &cfg).run();
-            let mcfg = MegaServiceConfig { base: cfg, shards: 1 };
-            let mega_world = MegaServiceWorld::new(&mcfg);
-            let mega = MegaServiceHarness::new(&mega_world, &mcfg).run();
-            prop_assert_eq!(&mega.report.totals, &flat.totals);
-            prop_assert_eq!(&mega.report.windows, &flat.windows);
-            prop_assert_eq!(&mega.report.names, &flat.names);
-            prop_assert_eq!(mega.report.in_system, flat.in_system);
-            prop_assert_eq!(mega.shard_totals, vec![flat.totals]);
         }
 
         /// Checker-on crash storms (`--features check`): the dynamic
@@ -346,22 +317,22 @@ mod service_semantics {
             hazard in 0.0f64..0.01,
         ) {
             use exclusive_selection::sim::AccessChecker;
-            let cfg = storm_cfg(seed, slots, clients, 8.0, hazard, slots, 2, 8);
-            let world = ServiceWorld::new(&cfg);
+            let base = storm_cfg(seed, slots, clients, 8.0, hazard, slots, 2, 8);
+            let cfg = MegaServiceConfig { base, shards: 1 };
+            let world = MegaServiceWorld::new(&cfg);
+            let shard = &world.shard_worlds()[0];
             let checker =
-                AccessChecker::for_instance(&world, cfg.slots, world.num_registers())
+                AccessChecker::for_instance(shard, base.slots, shard.num_registers())
                     .expect("static pass accepts the service world");
-            let mut harness = ServiceHarness::new(&world, &cfg);
-            harness.install_checker(checker);
+            let mut harness = MegaServiceHarness::new(&world, &cfg);
+            harness.install_checkers(vec![checker]);
             harness.prime();
             let drained = harness.run_until(u64::MAX);
             prop_assert!(!drained, "bounded arrivals must drain");
-            let c = harness.checker().unwrap();
-            prop_assert!(c.trial_ops() > 0, "checker observed nothing");
+            prop_assert!(harness.checker_ops() > 0, "checker observed nothing");
             prop_assert_eq!(
                 harness.checker_violations(), 0,
-                "service run violated its footprints: {:?}",
-                c.violations()
+                "service run violated its footprints"
             );
         }
 

@@ -296,9 +296,39 @@ fn assert_golden(mega: &MegaServiceReport, want: &Golden) {
 /// (these values were recorded from that implementation). Shards share
 /// no registers, so each shard's trajectory cannot depend on the order
 /// the fleet runs them in; window gauges are each shard's gauges at the
-/// boundary tick, and the fleet clock is the latest shard clock.
+/// boundary tick, and the fleet clock is the latest shard clock. The
+/// single-shard case was recorded from the former unsharded harness, of
+/// which one shard is the whole run.
 #[test]
 fn drained_fleets_reproduce_the_lock_step_goldens() {
+    // One crashy shard of 4 slots: 0.004 hazard per granted step.
+    let mut cfg = mega_cfg(17, 400);
+    cfg.shards = 1;
+    cfg.base.slots = 4;
+    cfg.base.admission.max_inflight = 4;
+    cfg.base.crash_hazard = 0.004;
+    cfg.base.arrivals = Arrivals::Poisson { mean_gap: 200.0 };
+    let world = MegaServiceWorld::new(&cfg);
+    let mega = MegaServiceHarness::new(&world, &cfg).run();
+    assert_golden(
+        &mega,
+        &Golden {
+            totals: [400, 498, 108, 390, 507, 846, 1255, 292, 90682, 91874],
+            shard_totals: 0xd609_9cb3_1a59_5da5,
+            windows: 23,
+            rows: 0xb3ff_fa7a_482f_c703,
+            quantiles: [
+                [320, 1280, 2048],
+                [3, 64, 192],
+                [28, 56, 64],
+                [160, 2048, 2560],
+                [640, 2560, 3072],
+                [4096, 12288, 16384],
+            ],
+            tickets: (108, 16243, 0x7da4_d8cd_88d6_9fbb),
+        },
+    );
+
     let cfg = mega_cfg(41, 6_000);
     let world = MegaServiceWorld::new(&cfg);
     let mega = MegaServiceHarness::new(&world, &cfg).run();
@@ -469,8 +499,8 @@ fn drained_shards_hand_their_deficit_forward() {
 /// The reservation bound: with the snapshot arenas left to grow on
 /// demand, the live-buffer high-water of every arena stays within
 /// [`snapshot_holders`] records and twice as many views (the records'
-/// own plus as many besides — what `ServiceWorld::new` reserves) on the
-/// steady, storm, 1%-hazard and 64-shard crash-storm configurations.
+/// own plus as many besides — what `MegaServiceWorld::new` reserves) on
+/// the steady, storm, 1%-hazard and 64-shard crash-storm configurations.
 #[test]
 fn snapshot_high_water_stays_within_the_reserved_bound() {
     let storm = |seed| ServiceConfig {
